@@ -15,9 +15,7 @@
 #      and still gets the byte-identical report;
 #   4. budget determinism: a memory-budget run that degrades produces
 #      byte-identical reports (labeled "degraded": true) across the
-#      jobs x partition-dispatch x call-dispatch matrix (a budget also
-#      disables the call-summary memo, so this doubles as the proof that
-#      the auto-disable keeps the degradation ladder deterministic).
+#      jobs x partition-dispatch x call-dispatch matrix.
 #
 # On failure the scratch dir (reports, client/daemon stderr, the emitted
 # family members) is preserved under <build-dir>/chaos-smoke-artifacts —
@@ -55,7 +53,7 @@ cleanup() {
     echo "chaos_smoke: failure artifacts preserved in $ARTIFACTS" >&2
   fi
   rm -rf "$WORK"
-  [[ -n "$SOCK" ]] && rm -f "$SOCK"
+  if [[ -n "$SOCK" ]]; then rm -f "$SOCK"; fi
 }
 trap cleanup EXIT
 

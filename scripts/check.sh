@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verify plus the sanitizer configuration. Usage: scripts/check.sh
+# Tier-1 verify plus the Release and sanitizer configurations and the CI
+# gates. Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -9,6 +10,12 @@ echo "== tier-1: RelWithDebInfo build + ctest =="
 cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo
+echo "== release: Release build (-O3 -DNDEBUG, -Werror) + ctest (CI parity) =="
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build build-release -j "$JOBS"
+ctest --test-dir build-release --output-on-failure -j "$JOBS"
 
 echo
 echo "== sanitizers: ASan + UBSan build + ctest =="
@@ -32,6 +39,10 @@ echo "== parallel smoke: grouped + call dispatch regression gate (CI parity) =="
 ASTRAL_BENCH_SMOKE=1 build/bench/bench_parallel_jobs
 
 echo
+echo "== scaling gate: Fig. 2 family log-log slope <= 1.5 (CI parity) =="
+scripts/scaling_gate.sh build
+
+echo
 echo "== serve smoke: daemon conformance + cache proof (CI parity) =="
 scripts/serve_smoke.sh build
 
@@ -46,7 +57,7 @@ build/tools/astral-cli examples/quickstart.cpp --json --fail-on-alarms >/dev/nul
 build/tools/astral-cli examples/rate_limiter_clocked.cpp --json --jobs=8 --fail-on-alarms >/dev/null
 build/tools/astral-cli examples/flight_control.cpp --json --jobs=0 --pack-dispatch=seq >/dev/null
 build/tools/astral-cli examples/partitioned_switch.cpp --json --jobs=8 --partition-dispatch=seq --dump-stats >/dev/null 2>&1
-build/tools/astral-cli examples/partitioned_switch.cpp --json --jobs=8 --call-dispatch=seq --call-memo=off >/dev/null
+build/tools/astral-cli examples/partitioned_switch.cpp --json --jobs=8 --call-dispatch=seq >/dev/null
 build/tools/astral-cli examples/thread_handoff.cpp examples/thread_mode_table.cpp --json --jobs=8 >/dev/null
 build-tsan/tools/astral-cli examples/quickstart.cpp examples/interp_table.cpp --json --jobs=8 >/dev/null
 build-tsan/tools/astral-cli examples/partitioned_switch.cpp --json --jobs=8 --partition-dispatch=par >/dev/null

@@ -102,9 +102,7 @@ fi
 
 # Liveness proof for the call-context grain: the partitioned example's
 # clamp helper is called from a width-2 disjunction, so the call dispatch
-# must actually fan out under --call-dispatch=par — and the call-summary
-# memo must actually hit (the narrowing re-execution sees bitwise-identical
-# call inputs), or the memo is dead weight.
+# must actually fan out under --call-dispatch=par.
 cdispatched=$("$CLI" examples/partitioned_switch.cpp --json --jobs=8 \
     --call-dispatch=par --dump-stats 2>&1 >/dev/null |
     sed -nE 's/^call_dispatch\.dispatched = ([0-9]+)$/\1/p')
@@ -114,16 +112,6 @@ if [[ -z "$cdispatched" || "$cdispatched" -eq 0 ]]; then
   fail=1
 else
   echo "determinism_matrix: call dispatch ran ($cdispatched call context(s) dispatched)"
-fi
-memo_hits=$("$CLI" examples/partitioned_switch.cpp --json --jobs=8 \
-    --dump-stats 2>&1 >/dev/null |
-    sed -nE 's/^iterator\.call_memo_hits = ([0-9]+)$/\1/p')
-if [[ -z "$memo_hits" || "$memo_hits" -eq 0 ]]; then
-  echo "determinism_matrix: call-summary memo never hit on" \
-       "partitioned_switch (iterator.call_memo_hits=${memo_hits:-missing})" >&2
-  fail=1
-else
-  echo "determinism_matrix: call-summary memo hit ($memo_hits hit(s))"
 fi
 
 # Liveness proof for the thread grain: the threaded example must actually

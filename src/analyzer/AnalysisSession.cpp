@@ -159,7 +159,6 @@ void fingerprintExecution(const AnalyzerOptions &O, FingerprintWriter &W) {
   W.field("partition_dispatch",
           uint64_t(static_cast<uint8_t>(O.PartitionDispatch)));
   W.field("call_dispatch", uint64_t(static_cast<uint8_t>(O.CallDispatch)));
-  W.field("call_memo", O.CallMemo);
   W.field("max_call_depth", uint64_t(O.MaxCallDepth));
   W.field("record_loop_invariants", O.RecordLoopInvariants);
   // Resource governance fingerprints into the execution phase only: the
@@ -643,8 +642,7 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
                   : 0);
   E.Stats.set("parallel.partitions.max_width", MaxPartitionWidth);
   // Call-context dispatch shape, same contract as the partition grain:
-  // `call_dispatch.dispatched` accumulates per-dispatch widths during the
-  // run, and the memo meters land in `iterator.call_memo_{hits,misses}`.
+  // `call_dispatch.dispatched` accumulates per-dispatch widths during the run.
   E.Stats.set("parallel.call_dispatch_par",
               In.Options.CallDispatch == CallDispatchMode::Parallel ? 1 : 0);
   E.Stats.set("parallel.calls.max_width", MaxCallWidth);

@@ -18,6 +18,7 @@
 #include <iostream>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 namespace astral {
 namespace cli {
@@ -64,32 +65,42 @@ bool looksLikeCxxHarness(const std::string &Text) {
 /// program of a C++ example harness. Honors custom delimiters, so an
 /// embedded program may itself contain `)"`.
 std::optional<std::string> extractRawString(const std::string &Text) {
-  std::string Best;
+  // Scans through string_views: no delimiter or closing sequence is ever
+  // built as a string, only the winning literal is copied out.
+  const std::string_view T(Text);
+  std::string_view Best;
   size_t Pos = 0;
-  while ((Pos = Text.find("R\"", Pos)) != std::string::npos) {
+  while ((Pos = T.find("R\"", Pos)) != std::string_view::npos) {
     size_t DelimStart = Pos + 2;
-    size_t Paren = Text.find('(', DelimStart);
+    size_t Paren = T.find('(', DelimStart);
     // A raw-string delimiter is at most 16 chars and contains no space,
     // parenthesis, backslash or quote; anything else is not a raw string.
-    if (Paren == std::string::npos || Paren - DelimStart > 16 ||
-        Text.substr(DelimStart, Paren - DelimStart)
-                .find_first_of(" \t\n\r\\)\"") != std::string::npos) {
+    if (Paren == std::string_view::npos || Paren - DelimStart > 16) {
       Pos += 2;
       continue;
     }
-    std::string Close =
-        ")" + Text.substr(DelimStart, Paren - DelimStart) + "\"";
+    const std::string_view Delim = T.substr(DelimStart, Paren - DelimStart);
+    if (Delim.find_first_of(" \t\n\r\\)\"") != std::string_view::npos) {
+      Pos += 2;
+      continue;
+    }
+    // The literal ends at the first `)delim"`.
     size_t Start = Paren + 1;
-    size_t End = Text.find(Close, Start);
-    if (End == std::string::npos)
+    size_t End = Start;
+    for (; (End = T.find(')', End)) != std::string_view::npos; ++End) {
+      std::string_view Rest = T.substr(End + 1);
+      if (Rest.starts_with(Delim) && Rest.substr(Delim.size()).starts_with('"'))
+        break;
+    }
+    if (End == std::string_view::npos)
       break;
     if (End - Start > Best.size())
-      Best = Text.substr(Start, End - Start);
-    Pos = End + Close.size();
+      Best = T.substr(Start, End - Start);
+    Pos = End + Delim.size() + 2;
   }
   if (Best.empty())
     return std::nullopt;
-  return Best;
+  return std::string(Best);
 }
 
 /// Loads `#include "name"` dependencies of \p Source from disk (relative to
@@ -225,14 +236,6 @@ void printUsage(std::FILE *Out) {
       "                               the historical per-context loop.\n"
       "                               Both modes produce identical\n"
       "                               reports.\n"
-      "  --call-memo=<on|off>         per-analysis call-summary memo: skip\n"
-      "                               re-inlining a call context whose\n"
-      "                               exact abstract input was already\n"
-      "                               analyzed, replaying the recorded\n"
-      "                               alarms/invariants (default: on;\n"
-      "                               auto-disabled under --memory-budget).\n"
-      "                               Reports are byte-identical either\n"
-      "                               way.\n"
       "\n"
       "domain selection:\n"
       "  --domains=<list>             enabled abstract domains, a comma-\n"
@@ -284,7 +287,7 @@ void printUsage(std::FILE *Out) {
       "  `@astral threshold 500`, `@astral entry main`,\n"
       "  `@astral domains interval,octagon`, `@astral jobs 4`,\n"
       "  `@astral pack-dispatch groups`, `@astral partition-dispatch par`,\n"
-      "  `@astral call-dispatch par`, `@astral call-memo off`,\n"
+      "  `@astral call-dispatch par`,\n"
       "  `@astral thread t1 worker` (one thread per directive),\n"
       "  `@astral octagon-closure full` (flags override directives).\n"
       "\n"
@@ -563,28 +566,6 @@ ParseOutcome parseArgs(const std::vector<std::string> &Args, CliOptions &Cli) {
       }
       Cli.FlagOps.push_back(
           [Mode](AnalyzerOptions &O) { O.CallDispatch = *Mode; });
-    } else if (A == "--call-memo" || A.rfind("--call-memo=", 0) == 0) {
-      std::string Val;
-      if (A == "--call-memo") {
-        auto V = NextValue("--call-memo");
-        if (!V)
-          return Res;
-        Val = *V;
-      } else {
-        Val = A.substr(std::string("--call-memo=").size());
-      }
-      std::optional<bool> On;
-      if (Val == "on")
-        On = true;
-      else if (Val == "off")
-        On = false;
-      if (!On) {
-        Failf("astral-cli: error: --call-memo expects 'on' or 'off', got "
-              "'%s'",
-              Val.c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back([On](AnalyzerOptions &O) { O.CallMemo = *On; });
     } else if (A == "--octagon-closure" ||
                A.rfind("--octagon-closure=", 0) == 0) {
       std::string Val;

@@ -11,7 +11,6 @@
 #include "analyzer/Options.h"
 #include "domains/Thresholds.h"
 #include "ir/Ir.h"
-#include "support/Hash128.h"
 
 #include <algorithm>
 
@@ -154,11 +153,6 @@ DomainState::Ptr OctagonState::refineIn(const ReductionChannel &In) const {
     N->Oct.meetVarInterval(Idx, I);
   });
   return N;
-}
-
-void OctagonState::repHash(support::Hash128 &H) const {
-  H.u8(static_cast<uint8_t>(DomainKind::Octagon));
-  Oct.hashRepr(H);
 }
 
 //===----------------------------------------------------------------------===//
@@ -508,25 +502,6 @@ DomainState::Ptr DecisionTreeState::refineIn(const ReductionChannel &In) const {
   return N;
 }
 
-void DecisionTreeState::repHash(support::Hash128 &H) const {
-  H.u8(static_cast<uint8_t>(DomainKind::DecisionTree));
-  H.u64(Tree.boolCells().size());
-  for (CellId C : Tree.boolCells())
-    H.u32(C);
-  H.u64(Tree.numCells().size());
-  for (CellId C : Tree.numCells())
-    H.u32(C);
-  H.u64(Tree.leafCount());
-  for (size_t L = 0; L < Tree.leafCount(); ++L) {
-    const DecisionTree::Leaf &Leaf = Tree.leaf(L);
-    H.boolean(Leaf.Reachable);
-    for (const Interval &I : Leaf.Nums) {
-      H.f64(I.Lo);
-      H.f64(I.Hi);
-    }
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // EllipsoidPackState
 //===----------------------------------------------------------------------===//
@@ -763,20 +738,6 @@ std::string EllipsoidPackState::toString() const {
            std::to_string(Pair.second) + ")<=" + std::to_string(K) + ";";
   }
   return Out;
-}
-
-void EllipsoidPackState::repHash(support::Hash128 &H) const {
-  H.u8(static_cast<uint8_t>(DomainKind::Ellipsoid));
-  H.boolean(Bot);
-  H.f64(Params.A);
-  H.f64(Params.B);
-  H.f64(Params.F);
-  H.u64(Map.K.size());
-  for (const auto &[Pair, K] : Map.K) {
-    H.u32(Pair.first);
-    H.u32(Pair.second);
-    H.f64(K);
-  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -66,7 +66,6 @@ public:
   Ptr refineIn(const ReductionChannel &In) const override;
   bool hasRelationalInfo() const override { return Oct.hasRelationalInfo(); }
   std::string toString() const override { return Oct.toString(); }
-  void repHash(support::Hash128 &H) const override;
 
 private:
   Octagon Oct;
@@ -103,7 +102,6 @@ public:
     return Tree.hasRelationalInfo();
   }
   std::string toString() const override { return Tree.toString(); }
-  void repHash(support::Hash128 &H) const override;
 
 private:
   DecisionTree Tree;
@@ -139,7 +137,6 @@ public:
                   const DomainEvalContext &Ctx) const override;
   bool hasRelationalInfo() const override;
   std::string toString() const override;
-  void repHash(support::Hash128 &H) const override;
 
 private:
   EllipsoidState Map;

@@ -25,10 +25,6 @@
 #include "domains/Thresholds.h"
 
 #include <map>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <utility>
 
 namespace astral {
 
@@ -77,8 +73,7 @@ private:
   void execIf(const ir::Stmt *S, AbstractEnv Env, Disjunction &Out);
   AbstractEnv execWhile(const ir::Stmt *S, AbstractEnv Env);
   AbstractEnv execCall(const ir::Stmt *S, AbstractEnv Env);
-  /// The inlining proper (arg binding, local havoc, body, return plumbing)
-  /// — the region the call-summary memo records and replays around.
+  /// The inlining proper (arg binding, local havoc, body, return plumbing).
   AbstractEnv inlineCall(const ir::Stmt *S, const ir::Function *F,
                          AbstractEnv Env);
   /// One abstract iteration of a loop body (body, continue-join, step).
@@ -137,59 +132,10 @@ private:
   /// sibling contexts).
   void recordLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv);
 
-  /// The single loop-invariant effect choke point: feeds every active
-  /// call-summary recording, then buffers (collect mode) or folds (master)
-  /// exactly as the historical dispatch did. All invariant surfacing —
-  /// execWhile's own recording and mergeWorker's pending replay — goes
-  /// through here so a memo recording never misses an effect.
+  /// The single loop-invariant effect choke point: buffers (collect mode)
+  /// or folds (master). All invariant surfacing — execWhile's own recording
+  /// and mergeWorker's pending replay — goes through here.
   void noteLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv);
-
-  // -- Call-summary memo (the fourth grain's companion) --------------------
-  /// One recorded inlining: the output environment plus every externally
-  /// visible side effect of the inlined body, replayable in order. Stored
-  /// behind shared_ptr<const> — read-only after publication, shared across
-  /// worker clones.
-  struct CallSummary {
-    AbstractEnv Out;
-    AlarmJournal Alarms;
-    std::vector<std::pair<uint32_t, AbstractEnv>> Invariants;
-    /// Pack-usefulness flags the inlining newly set (monotone OR delta).
-    std::vector<std::vector<uint8_t>> ImprovedDelta;
-  };
-
-  struct MemoKeyHash {
-    size_t operator()(const std::pair<uint64_t, uint64_t> &K) const {
-      return static_cast<size_t>(K.first ^
-                                 (K.second * 0x9e3779b97f4a7c15ull));
-    }
-  };
-
-  /// The per-analysis memo map, shared by the master and every worker clone
-  /// (first publication wins; all publications for one key are
-  /// byte-equivalent, so the race is benign). Keyed by the 128-bit digest
-  /// of the exact callee-visible input — see callMemoKey.
-  struct CallMemo {
-    std::mutex Mu;
-    std::unordered_map<std::pair<uint64_t, uint64_t>,
-                       std::shared_ptr<const CallSummary>, MemoKeyHash>
-        Map;
-  };
-
-  /// Whether execCall may consult/record the memo: on by option, off under
-  /// a memory budget (retained summaries would perturb the deterministic
-  /// memtrack live figure the degradation ladder compares against) and off
-  /// in the interference rounds (per-load interference recording is a side
-  /// effect the summary cannot capture).
-  bool memoEnabled() const;
-
-  /// Exact 128-bit fingerprint of everything the inlining of \p S from
-  /// \p Env can read: call site, callee, call depth, partition context,
-  /// checking mode, the caller's ref-binding frame, and the full abstract
-  /// environment representation (cells, clock, every relational state via
-  /// DomainState::repHash). Equal keys imply bitwise-identical inputs, so
-  /// the recorded output/effects substitute exactly.
-  std::pair<uint64_t, uint64_t> callMemoKey(const ir::Stmt *S,
-                                            const AbstractEnv &Env) const;
 
   const ir::Program &P;
   const memory::CellLayout &Layout;
@@ -234,15 +180,6 @@ private:
   size_t MaxDispatchWidth = 0;
   /// Widest call-site disjunction actually fanned out (master-thread only).
   size_t MaxCallWidth = 0;
-
-  /// The shared call-summary memo (null only before construction finishes);
-  /// worker clones alias the master's map.
-  std::shared_ptr<CallMemo> Memo;
-  /// Active call-summary recordings on *this* iterator, innermost last:
-  /// noteLoopInvariant feeds every level, so nested recordings each capture
-  /// the invariants their region surfaced.
-  std::vector<std::vector<std::pair<uint32_t, AbstractEnv>> *>
-      InvariantJournals;
 };
 
 } // namespace astral

@@ -170,19 +170,6 @@ struct AnalyzerOptions {
   /// sequential loop.
   CallDispatchMode CallDispatch = CallDispatchMode::Parallel;
 
-  /// Per-analysis call-summary memo (--call-memo=on|off, `@astral
-  /// call-memo`): execCall consults a map from an exact 128-bit fingerprint
-  /// of the callee-visible input (callee id, call depth, caller ref-binding
-  /// frame, the full abstract environment's representation) to the cached
-  /// output environment plus the recorded alarm/invariant effects, so
-  /// stabilized fixpoint iterations skip byte-identical re-execution of
-  /// unchanged call contexts. Hits replay the recorded effects in order —
-  /// reports stay byte-identical to the memo-off run. Disabled
-  /// automatically under a memory budget: retained summaries would keep
-  /// abstract-state nodes alive in the deterministic live figure the
-  /// degradation ladder compares against.
-  bool CallMemo = true;
-
   // -- Resource governance (deadlines + memory budgets) -------------------------
   /// Wall-clock deadline for the abstract-execution phase, in milliseconds;
   /// 0 = none. One-shot runs anchor the deadline at phase start; the serve

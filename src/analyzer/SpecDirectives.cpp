@@ -155,19 +155,6 @@ astral::applySpecDirectives(const std::string &Source, AnalyzerOptions &Opts) {
           Opts.CallDispatch = CallDispatchMode::Parallel;
         else
           Malformed("call-dispatch", "<seq|par>");
-      } else if (Kind == "call-memo") {
-        // The call-summary memo is a pure work-avoidance cache: a hit
-        // replays the recorded output and effects of a bitwise-identical
-        // inlining, so reports are identical either way and a checked-in
-        // spec cannot make a golden run diverge.
-        std::string ModeName;
-        Dir >> ModeName;
-        if (ModeName == "on")
-          Opts.CallMemo = true;
-        else if (ModeName == "off")
-          Opts.CallMemo = false;
-        else
-          Malformed("call-memo", "<on|off>");
       } else if (Kind == "jobs") {
         // Execution policy travels with the input (0 = one worker per
         // hardware thread). Reports stay byte-identical for any value, so a

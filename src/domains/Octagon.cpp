@@ -701,16 +701,22 @@ std::string Octagon::toString() const {
   std::string Out;
   for (int I = 0; I < static_cast<int>(Vars.size()); ++I) {
     Interval V = varInterval(I);
-    Out += "v" + std::to_string(Vars[I]) + " in " + V.toString() + "; ";
+    // Appends only: `"literal" + std::string&&` trips a GCC 12 -Wrestrict
+    // false positive at -O3.
+    Out.append("v").append(std::to_string(Vars[I])).append(" in ");
+    Out.append(V.toString()).append("; ");
     for (int J = I + 1; J < static_cast<int>(Vars.size()); ++J) {
+      auto Bound = [&](const char *Op, double B) {
+        Out.append("v").append(std::to_string(Vars[I])).append(Op);
+        Out.append(std::to_string(Vars[J])).append("<=");
+        Out.append(std::to_string(B)).append("; ");
+      };
       double Sub = at(2 * I, 2 * J);
       if (std::isfinite(Sub))
-        Out += "v" + std::to_string(Vars[I]) + "-v" +
-               std::to_string(Vars[J]) + "<=" + std::to_string(Sub) + "; ";
+        Bound("-v", Sub);
       double Add = at(2 * I, 2 * J + 1);
       if (std::isfinite(Add))
-        Out += "v" + std::to_string(Vars[I]) + "+v" +
-               std::to_string(Vars[J]) + "<=" + std::to_string(Add) + "; ";
+        Bound("+v", Add);
     }
   }
   return Out;

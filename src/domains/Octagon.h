@@ -42,7 +42,6 @@
 
 #include "domains/Interval.h"
 #include "domains/LinearForm.h"
-#include "support/Hash128.h"
 #include "support/MemoryTracker.h"
 
 #include <atomic>
@@ -164,23 +163,6 @@ public:
   std::string toString() const;
 
   size_t byteSize() const { return M.size() * sizeof(double); }
-
-  /// Feeds the exact DBM representation (pack cells, matrix bytes, closure
-  /// and dirty-set bookkeeping, emptiness) into \p H — the call-summary
-  /// memo's content key. Representation-sensitive by design: a closed and
-  /// an unclosed DBM of the same octagon hash differently, which only
-  /// splits memo keys (a spurious miss), never corrupts a hit.
-  void hashRepr(support::Hash128 &H) const {
-    H.u64(Vars.size());
-    for (CellId C : Vars)
-      H.u32(C);
-    for (double D : M)
-      H.f64(D);
-    H.u32(PivotDirty);
-    H.u32(StarDirty);
-    H.boolean(Closed);
-    H.boolean(Empty);
-  }
 
 private:
   double &at(int P, int Q) { return M[static_cast<size_t>(P) * N + Q]; }

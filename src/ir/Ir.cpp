@@ -54,7 +54,7 @@ std::string ir::lvalueToString(const Program &P, const LValue &Lv) {
       Out += ".f" + std::to_string(A.FieldIdx);
       break;
     case Access::Kind::Index:
-      Out += "[" + exprToString(P, A.Index) + "]";
+      Out.append("[").append(exprToString(P, A.Index)).append("]");
       break;
     case Access::Kind::Deref:
       Out = "*" + Out;
@@ -80,11 +80,18 @@ std::string ir::exprToString(const Program &P, const Expr *E) {
     return lvalueToString(P, E->Lv);
   case ExprKind::Unary:
     return std::string(unOpName(E->UO)) + "(" + exprToString(P, E->A) + ")";
-  case ExprKind::Binary:
-    return "(" + exprToString(P, E->A) + " " + binOpName(E->BO) + " " +
-           exprToString(P, E->B) + ")";
-  case ExprKind::Cast:
-    return "(" + E->Ty->toString() + ")(" + exprToString(P, E->A) + ")";
+  // The bracketed forms append onto a named string: `"(" + std::string&&`
+  // trips a GCC 12 -Wrestrict false positive at -O3.
+  case ExprKind::Binary: {
+    std::string Out = "(";
+    Out.append(exprToString(P, E->A)).append(" ").append(binOpName(E->BO));
+    return Out.append(" ").append(exprToString(P, E->B)).append(")");
+  }
+  case ExprKind::Cast: {
+    std::string Out = "(";
+    Out.append(E->Ty->toString()).append(")(");
+    return Out.append(exprToString(P, E->A)).append(")");
+  }
   }
   return "?";
 }
@@ -135,15 +142,18 @@ std::string ir::stmtToString(const Program &P, const Stmt *S, int Indent) {
       if (I)
         Out += ", ";
       if (S->Args[I].IsRef)
-        Out += "&" + lvalueToString(P, S->Args[I].Ref);
+        Out.append("&").append(lvalueToString(P, S->Args[I].Ref));
       else
         Out += exprToString(P, S->Args[I].Value);
     }
     return Out + ");\n";
   }
-  case StmtKind::Return:
-    return Pad + "return" +
-           (S->RetVal ? " " + exprToString(P, S->RetVal) : "") + ";\n";
+  case StmtKind::Return: {
+    std::string Out = Pad + "return";
+    if (S->RetVal)
+      Out.append(" ").append(exprToString(P, S->RetVal));
+    return Out + ";\n";
+  }
   case StmtKind::Break:
     return Pad + "break;\n";
   case StmtKind::Continue:

@@ -1,21 +1,17 @@
-//===- tests/test_call_dispatch.cpp - Call-context dispatch + memo ----------===//
+//===- tests/test_call_dispatch.cpp - Call-context dispatch -----------------===//
 //
 // Part of ASTRAL, a reproduction of "A Static Analyzer for Large
 // Safety-Critical Software" (PLDI 2003). Tests the call-context parallel
 // grain — per-context dispatch of inlined callee bodies at call sites
-// reached from a multi-environment disjunction — and the call-summary memo
-// that rides on it:
+// reached from a multi-environment disjunction:
 //
 //   - --call-dispatch=par must produce reports bitwise identical to the
 //     sequential per-context loop, at every --jobs value and across the
 //     pack-dispatch and partition-dispatch modes, on randomized call trees
-//     with reference parameters and partitioned callees.
-//   - The memo must actually hit (the narrowing re-execution sees bitwise
-//     identical call inputs), a widening-changed input must be a miss
-//     (structural invalidation: the key changes with the input), and
-//     --call-memo=off must reproduce the memoized report bitwise.
-//   - The memo is auto-disabled under a memory budget (retained summaries
-//     would perturb the deterministic memtrack live figure).
+//     with reference parameters and partitioned callees, and on a callee
+//     whose input changes along the caller's widening sequence.
+//   - The call-context meter `iterator.calls_inlined` counts the same
+//     contexts whichever way they were dispatched.
 //   - MaxCallDepth prototype havoc stays byte-identical under par.
 //   - Budget degradation is byte-identical across call-dispatch modes: the
 //     Fixpoint budget poll is master-only (!CollectMode && CallDepth == 0),
@@ -70,14 +66,18 @@ void expectMatrixIdentical(
     const std::function<void(AnalyzerOptions &)> &Tweak = nullptr) {
   auto Run = [&](unsigned Jobs, CallDispatchMode CMode,
                  PartitionDispatchMode PMode, PackDispatchMode KMode) {
-    return fingerprint(analyzeSource(Src, [&](AnalyzerOptions &O) {
+    AnalysisResult R = analyzeSource(Src, [&](AnalyzerOptions &O) {
       if (Tweak)
         Tweak(O);
       O.Jobs = Jobs;
       O.CallDispatch = CMode;
       O.PartitionDispatch = PMode;
       O.PackDispatch = KMode;
-    }));
+    });
+    // A frontend failure would make every configuration agree vacuously.
+    EXPECT_TRUE(R.FrontendOk) << R.FrontendErrors;
+    EXPECT_GT(R.Stats.get("iterator.calls_inlined"), 0u);
+    return fingerprint(R);
   };
   std::string Base =
       Run(1, CallDispatchMode::Sequential, PartitionDispatchMode::Sequential,
@@ -160,6 +160,7 @@ TEST(CallDispatch, DispatchActuallyFansOut) {
   EXPECT_GT(R.Stats.get("call_dispatch.dispatched"), 0u);
   EXPECT_GE(R.Stats.get("parallel.calls.max_width"), 2u);
   EXPECT_EQ(R.Stats.get("parallel.call_dispatch_par"), 1u);
+  EXPECT_GT(R.Stats.get("iterator.calls_inlined"), 0u);
 
   // The sequential mode never takes the parallel path.
   AnalysisResult S =
@@ -171,6 +172,23 @@ TEST(CallDispatch, DispatchActuallyFansOut) {
   EXPECT_EQ(S.Stats.get("call_dispatch.dispatched"), 0u);
   EXPECT_EQ(S.Stats.get("parallel.calls.max_width"), 0u);
   EXPECT_EQ(S.Stats.get("parallel.call_dispatch_par"), 0u);
+  EXPECT_EQ(fingerprint(S), fingerprint(R));
+
+  // Every call context is counted exactly once whichever thread inlined it,
+  // so the meter agrees across --jobs values and dispatch modes.
+  EXPECT_EQ(S.Stats.get("iterator.calls_inlined"),
+            R.Stats.get("iterator.calls_inlined"));
+  for (unsigned Jobs : {1u, 8u}) {
+    AnalysisResult J =
+        analyzeSource(PartitionedHelperSrc, [Jobs](AnalyzerOptions &O) {
+          partitionedHelperTweak(O);
+          O.Jobs = Jobs;
+        });
+    ASSERT_TRUE(J.FrontendOk);
+    EXPECT_EQ(J.Stats.get("iterator.calls_inlined"),
+              R.Stats.get("iterator.calls_inlined"))
+        << "jobs=" << Jobs;
+  }
 }
 
 TEST(CallDispatch, RandomizedCallTreesMatchSequentialBitwise) {
@@ -182,10 +200,11 @@ TEST(CallDispatch, RandomizedCallTreesMatchSequentialBitwise) {
   for (unsigned Seed = 1; Seed <= 4; ++Seed) {
     std::mt19937 Rng(Seed);
     unsigned Depth = 2 + Seed % 2; // 2-3 nested callees
-    std::ostringstream Src;
-    Src << "volatile int sel; volatile float in;\n"
-        << "float y; float z;\n";
+    // Callees are generated outermost first but emitted innermost first:
+    // the frontend requires a function to be declared before its call.
+    std::vector<std::string> Funcs;
     for (unsigned L = 0; L < Depth; ++L) {
+      std::ostringstream Src;
       unsigned Ifs = 1 + Rng() % 3;
       // Leaf takes a reference parameter it writes through; inner levels
       // pass the global accumulator down by address.
@@ -215,7 +234,13 @@ TEST(CallDispatch, RandomizedCallTreesMatchSequentialBitwise) {
       if (Rng() % 2)
         Src << "  if (sel == 0) { return t; }\n";
       Src << "  return t + u * 0.0f;\n}\n";
+      Funcs.push_back(Src.str());
     }
+    std::ostringstream Src;
+    Src << "volatile int sel; volatile float in;\n"
+        << "float y; float z;\n";
+    for (auto F = Funcs.rbegin(); F != Funcs.rend(); ++F)
+      Src << *F;
     Src << "int main(void) {\n  z = 0.0f;\n  while (1) {\n"
         << "    y = f0(in);\n    __astral_wait();\n  }\n  return 0;\n}\n";
 
@@ -227,36 +252,20 @@ TEST(CallDispatch, RandomizedCallTreesMatchSequentialBitwise) {
         O.PartitionFunctions.insert("f" + std::to_string(L));
       O.VolatileRanges["sel"] = Interval(0, 4);
       O.VolatileRanges["in"] = Interval(-30, 30);
+      // The generated accumulator loops (u = u + t) widen up the whole
+      // threshold ladder one rung per iteration; a short ladder keeps that
+      // climb cheap, and the test is about dispatch, not precision.
+      O.ThresholdCount = 8;
     });
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Call-summary memo: hits, invalidation, differential
-//===----------------------------------------------------------------------===//
-
-TEST(CallMemo, HitsOnRepeatedIdenticalContexts) {
-  // The narrowing iteration re-executes the loop body from the stabilized
-  // invariant — the same environment the stabilization test already ran
-  // from — so every call context inside the body repeats bitwise and the
-  // memo must hit. Misses must also be nonzero (somebody recorded), and
-  // every context is either a hit or a miss.
-  AnalysisResult R =
-      analyzeSource(PartitionedHelperSrc, partitionedHelperTweak);
-  ASSERT_TRUE(R.FrontendOk);
-  uint64_t Hits = R.Stats.get("iterator.call_memo_hits");
-  uint64_t Misses = R.Stats.get("iterator.call_memo_misses");
-  EXPECT_GT(Hits, 0u);
-  EXPECT_GT(Misses, 0u);
-  EXPECT_EQ(Hits + Misses, R.Stats.get("iterator.calls_inlined"));
-}
-
-TEST(CallMemo, WideningChangedInputsMiss) {
+TEST(CallDispatch, WideningCalleeInputMatchesSequentialBitwise) {
   // An accumulator grows through the widening sequence, so the callee sees
   // a different input environment on every fixpoint iteration until
-  // stabilization: those contexts must be misses (the key hashes the exact
-  // input; invalidation is structural). If widened inputs wrongly hit, the
-  // accumulator's final range would be wrong — proved here by value.
+  // stabilization. The clamp inside the callee must still bound the
+  // accumulator's final range — proved here by value — and every execution
+  // policy must reproduce the sequential report bitwise.
   const char *Src = "volatile float in;\n"
                     "float acc;\n"
                     "float step(float a, float d) {\n"
@@ -283,54 +292,9 @@ TEST(CallMemo, WideningChangedInputsMiss) {
   Interval Acc = rangeOf(R, "acc");
   EXPECT_GE(Acc.Lo, 0.0);
   EXPECT_LE(Acc.Hi, 100.0);
-  // The widening trajectory is several distinct inputs; each distinct
-  // input is at least one miss.
-  EXPECT_GT(R.Stats.get("iterator.call_memo_misses"), 1u);
-
-  // And the memoized run is bitwise the non-memoized run.
-  std::string On = fingerprint(R);
-  std::string Off = fingerprint(analyzeSource(Src, [&](AnalyzerOptions &O) {
-    Tweak(O);
-    O.CallMemo = false;
-  }));
-  EXPECT_EQ(On, Off);
-}
-
-TEST(CallMemo, OffMatchesOnBitwiseAndRecordsNothing) {
-  AnalysisResult Off =
-      analyzeSource(PartitionedHelperSrc, [](AnalyzerOptions &O) {
-        partitionedHelperTweak(O);
-        O.CallMemo = false;
-      });
-  ASSERT_TRUE(Off.FrontendOk);
-  EXPECT_EQ(Off.Stats.get("iterator.call_memo_hits"), 0u);
-  EXPECT_EQ(Off.Stats.get("iterator.call_memo_misses"), 0u);
-  EXPECT_GT(Off.Stats.get("iterator.calls_inlined"), 0u);
-
-  AnalysisResult On =
-      analyzeSource(PartitionedHelperSrc, partitionedHelperTweak);
-  EXPECT_EQ(fingerprint(On), fingerprint(Off));
-}
-
-TEST(CallMemo, WorkerRecordedSummariesHitAcrossTheMatrix) {
-  // Under par dispatch the summaries are recorded by worker clones into
-  // the shared memo (first publication wins). The hit/miss split can
-  // legally differ from the sequential run — publication racing is benign,
-  // not byte-compared — but hits must still happen and every context is
-  // still exactly one of hit or miss.
-  for (unsigned Jobs : {2u, 8u}) {
-    AnalysisResult R =
-        analyzeSource(PartitionedHelperSrc, [Jobs](AnalyzerOptions &O) {
-          partitionedHelperTweak(O);
-          O.Jobs = Jobs;
-        });
-    ASSERT_TRUE(R.FrontendOk);
-    EXPECT_GT(R.Stats.get("iterator.call_memo_hits"), 0u) << "jobs=" << Jobs;
-    EXPECT_EQ(R.Stats.get("iterator.call_memo_hits") +
-                  R.Stats.get("iterator.call_memo_misses"),
-              R.Stats.get("iterator.calls_inlined"))
-        << "jobs=" << Jobs;
-  }
+  // The widening trajectory re-inlines the callee from several inputs.
+  EXPECT_GT(R.Stats.get("iterator.calls_inlined"), 1u);
+  expectMatrixIdentical(Src, Tweak);
 }
 
 //===----------------------------------------------------------------------===//
@@ -391,20 +355,6 @@ std::string degradeSignature(const AnalysisResult &R) {
 
 } // namespace
 
-TEST(CallMemo, DisabledUnderMemoryBudget) {
-  // Retained summaries would sit in the memtrack live figure the
-  // degradation ladder compares against, so a budgeted run must never
-  // consult or record the memo — hit and miss meters both stay zero while
-  // calls are still inlined.
-  AnalysisInput In = familyInput(800, 11);
-  In.Options.MemoryBudgetBytes = 512ull * 1024 * 1024; // Roomy: no degrade.
-  AnalysisSession S(std::move(In));
-  const auto &E = S.runAbstractExecution();
-  EXPECT_EQ(E.Stats.get("iterator.call_memo_hits"), 0u);
-  EXPECT_EQ(E.Stats.get("iterator.call_memo_misses"), 0u);
-  EXPECT_GT(E.Stats.get("iterator.calls_inlined"), 0u);
-}
-
 TEST(CallDispatch, BudgetDegradationDeterministicAcrossCallDispatch) {
   // The Fixpoint budget poll predicate (!CollectMode && CallDepth == 0 &&
   // !T.Conc) excludes call-dispatch workers twice over: they are
@@ -412,10 +362,7 @@ TEST(CallDispatch, BudgetDegradationDeterministicAcrossCallDispatch) {
   // worker ever polled, the deterministic live figure would be sampled at
   // worker-timing-dependent points and the ladder would diverge between
   // the dispatch modes — this is the regression test for that predicate.
-  // The calibration run disables the memo: retained summaries inflate the
-  // ungoverned peak, and a budgeted run never carries them.
   AnalysisInput Base = familyInput(1200, 7);
-  Base.Options.CallMemo = false;
   AnalysisResult Free = Analyzer::analyze(Base);
   ASSERT_TRUE(Free.FrontendOk) << Free.FrontendErrors;
   ASSERT_GT(Free.PeakAbstractBytes, 0u);
@@ -432,6 +379,7 @@ TEST(CallDispatch, BudgetDegradationDeterministicAcrossCallDispatch) {
       AnalysisResult R = Analyzer::analyze(In);
       ASSERT_TRUE(R.FrontendOk) << R.FrontendErrors;
       EXPECT_TRUE(R.degraded());
+      EXPECT_GT(R.Stats.get("iterator.calls_inlined"), 0u);
       std::string Sig = degradeSignature(R);
       if (Reference.empty())
         Reference = Sig;

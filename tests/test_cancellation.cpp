@@ -256,12 +256,8 @@ TEST(Governance, ExternalTokenPreemptsAnalysis) {
 
 TEST(Governance, BudgetDegradationIsDeterministicAcrossDispatchMatrix) {
   // Calibrate: the ungoverned peak of this member tells us a budget that
-  // must trigger at least one ladder step. The call-summary memo is off for
-  // the calibration run — a budgeted run auto-disables it (retained
-  // summaries would sit in the live figure the ladder compares against), so
-  // the memo-less peak is the one the governed runs are actually up against.
+  // must trigger at least one ladder step.
   AnalysisInput Base = familyInput(1200, 7);
-  Base.Options.CallMemo = false;
   AnalysisResult Free = Analyzer::analyze(Base);
   ASSERT_TRUE(Free.FrontendOk) << Free.FrontendErrors;
   ASSERT_GT(Free.PeakAbstractBytes, 0u);

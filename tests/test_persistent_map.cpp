@@ -6,6 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/MemoryTracker.h"
 #include "support/PersistentMap.h"
 
 #include <gtest/gtest.h>
@@ -177,14 +178,16 @@ TEST(PersistentMap, ForEachDiffAbsentSides) {
 }
 
 TEST(PersistentMap, MemoryTrackerSeesNodes) {
-  size_t Before = memtrack::liveBytes();
+  memtrack::Counter Mem;
+  memtrack::CounterScope Scope(&Mem);
+  size_t Before = Mem.liveBytes();
   {
     PersistentMap<int> M;
     for (uint32_t I = 0; I < 64; ++I)
       M = M.set(I, 1);
-    EXPECT_GT(memtrack::liveBytes(), Before);
+    EXPECT_GT(Mem.liveBytes(), Before);
   }
-  EXPECT_EQ(memtrack::liveBytes(), Before);
+  EXPECT_EQ(Mem.liveBytes(), Before);
 }
 
 // Property test: behaves exactly like std::map under random workloads.

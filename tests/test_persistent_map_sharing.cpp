@@ -78,9 +78,15 @@ TEST(PersistentMapSharing, DeepOverwriteSharesAllButOnePath) {
 
   // Overwriting one deep key must allocate O(log n) fresh nodes (the copied
   // root-to-key path), never O(n).
-  size_t Before = memtrack::liveBytes();
-  IntMap M2 = M.set(1234, -1);
-  size_t After = memtrack::liveBytes();
+  memtrack::Counter Mem;
+  size_t Before = Mem.liveBytes();
+  IntMap M2;
+  {
+    memtrack::CounterScope Scope(&Mem);
+    M2 = M.set(1234, -1);
+  }
+  size_t After = Mem.liveBytes();
+  EXPECT_GT(After, Before) << "the overwrite's fresh path was not metered";
   size_t NodeSize = 64; // conservative lower bound on sizeof(Node)
   EXPECT_LE(After - Before, 3 * 20 * NodeSize)
       << "overwrite copied far more than one path of a height-~13 AVL";

@@ -475,6 +475,17 @@ TEST(ServeDaemon, MalformedAndInvalidRequestsGetErrorResponses) {
   EXPECT_NE(R->find("error")->asString().find("unknown flag"),
             std::string::npos);
 
+  // Removed flags are unknown flags like any other, in both spellings.
+  for (std::vector<std::string> Args :
+       {std::vector<std::string>{"--call-memo=off"},
+        std::vector<std::string>{"--call-memo", "off"}}) {
+    cli::CliOptions Cli;
+    cli::ParseOutcome P = cli::parseArgs(Args, Cli);
+    EXPECT_FALSE(P.Ok) << Args[0];
+    EXPECT_NE(P.Error.find("unknown flag '--call-memo"), std::string::npos)
+        << P.Error;
+  }
+
   // Input paths may not sneak through args — files travel in 'files'.
   Request Sneak = analyzeRequest();
   Sneak.Args = {"--json", "/etc/passwd"};

@@ -7,6 +7,7 @@
 
 #include "analyzer/SpecDirectives.h"
 
+#include "analyzer/AnalysisSession.h"
 #include "analyzer/Scheduler.h"
 
 #include <gtest/gtest.h>
@@ -181,4 +182,22 @@ TEST(SpecDirectives, MalformedOctagonClosureWarns) {
   ASSERT_EQ(W.size(), 1u);
   EXPECT_NE(W[0].find("octagon-closure"), std::string::npos);
   EXPECT_EQ(Opts.OctagonClosure, Defaults.OctagonClosure);
+}
+
+TEST(SpecDirectives, RemovedMemoDirectiveIsUnknown) {
+  // The call-summary memo and its directive are gone: an input still
+  // carrying one gets the generic unknown-directive warning, and no option
+  // moves (the execution fingerprint covers every option field).
+  AnalyzerOptions Defaults;
+  AnalyzerOptions Opts;
+  std::vector<std::string> W =
+      applySpecDirectives("/* @astral call-memo off */", Opts);
+  ASSERT_EQ(W.size(), 1u);
+  EXPECT_NE(W[0].find("unknown @astral directive 'call-memo'"),
+            std::string::npos)
+      << W[0];
+  EXPECT_EQ(AnalysisSession::optionsFingerprint(
+                Opts, AnalysisSession::Phase::Execution),
+            AnalysisSession::optionsFingerprint(
+                Defaults, AnalysisSession::Phase::Execution));
 }
