@@ -7,6 +7,7 @@
 
 #include "codegen/FamilyGenerator.h"
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace astral;
@@ -43,6 +44,9 @@ struct Builder {
   std::string LoopBody;
   std::string InitBody;
   unsigned Counter = 0;
+  /// Newlines in Decls, Funcs, LoopBody and InitBody, kept by line() so
+  /// the size test of the module loop does not rescan the buffers.
+  unsigned Lines = 0;
 
   explicit Builder(const GeneratorConfig &C) : Config(C), R(C.Seed) {}
 
@@ -53,6 +57,7 @@ struct Builder {
   void line(std::string &Dst, const std::string &S) {
     Dst += S;
     Dst += '\n';
+    Lines += static_cast<unsigned>(std::count(S.begin(), S.end(), '\n')) + 1;
   }
 
   void volatileInput(const std::string &Name, const char *Ty, double Lo,
@@ -303,13 +308,8 @@ struct Builder {
     call(F);
   }
 
-  unsigned approxLines() const {
-    return static_cast<unsigned>(
-        std::count(Decls.begin(), Decls.end(), '\n') +
-        std::count(Funcs.begin(), Funcs.end(), '\n') +
-        std::count(LoopBody.begin(), LoopBody.end(), '\n') +
-        std::count(InitBody.begin(), InitBody.end(), '\n') + 24);
-  }
+  /// Lines of the source so far, plus an allowance for the fixed tail.
+  unsigned approxLines() const { return Lines + 24; }
 
   FamilyProgram build() {
     line(Decls, "/* Generated member of the periodic synchronous program");

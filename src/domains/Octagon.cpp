@@ -17,22 +17,32 @@
 using namespace astral;
 
 namespace {
-double addUpInf(double A, double B) {
-  if (std::isinf(A) || std::isinf(B))
+/// Upper bound of A + B where an infinite operand decides the result (a
+/// +inf operand wins). A finite sum, the common case of the closure loops,
+/// has finite operands and takes the inline path of rounded::addUp.
+inline double addUpInf(double A, double B) {
+  if (!std::isfinite(A + B) && (std::isinf(A) || std::isinf(B)))
     return (A > 0 || B > 0) ? INFINITY : -INFINITY;
   return rounded::addUp(A, B);
 }
+
+/// Largest node count of a DBM (16 variables).
+constexpr int MaxNodes = 32;
 } // namespace
 
 Octagon::Octagon(std::vector<CellId> Cells, OctClosureMode ClosureMode,
-                 std::shared_ptr<OctagonClosureStats> ClosureStats)
-    : Vars(std::move(Cells)), N(static_cast<int>(Vars.size()) * 2),
-      Mode(ClosureMode), Stats(std::move(ClosureStats)) {
-  assert(!Vars.empty() && Vars.size() <= 16 && "pack size out of range");
-  Lookup.reserve(Vars.size());
-  for (size_t I = 0; I < Vars.size(); ++I)
-    Lookup.push_back({Vars[I], static_cast<int>(I)});
-  std::sort(Lookup.begin(), Lookup.end());
+                 std::shared_ptr<OctagonClosureStats> ClosureStats) {
+  assert(!Cells.empty() && Cells.size() <= 16 && "pack size out of range");
+  auto L = std::make_shared<Layout>();
+  L->Lookup.reserve(Cells.size());
+  for (size_t I = 0; I < Cells.size(); ++I)
+    L->Lookup.push_back({Cells[I], static_cast<int>(I)});
+  std::sort(L->Lookup.begin(), L->Lookup.end());
+  L->Cells = std::move(Cells);
+  L->Mode = ClosureMode;
+  L->Stats = std::move(ClosureStats);
+  N = static_cast<int>(L->Cells.size()) * 2;
+  Pack = std::move(L);
   M.assign(static_cast<size_t>(N) * N, INFINITY);
   for (int I = 0; I < N; ++I)
     at(I, I) = 0.0;
@@ -43,13 +53,13 @@ Octagon::Octagon(std::vector<CellId> Cells, OctClosureMode ClosureMode,
 Octagon::~Octagon() { memtrack::noteFree(M.size() * sizeof(double)); }
 
 Octagon::Octagon(const Octagon &O)
-    : Vars(O.Vars), Lookup(O.Lookup), N(O.N), M(O.M),
-      PivotDirty(O.PivotDirty), StarDirty(O.StarDirty), Closed(O.Closed),
-      Empty(O.Empty), Mode(O.Mode), Stats(O.Stats) {
+    : Pack(O.Pack), N(O.N), M(O.M), PivotDirty(O.PivotDirty),
+      StarDirty(O.StarDirty), Closed(O.Closed), Empty(O.Empty) {
   memtrack::noteAlloc(M.size() * sizeof(double));
 }
 
 int Octagon::indexOf(CellId Cell) const {
+  const auto &Lookup = Pack->Lookup;
   auto It = std::lower_bound(
       Lookup.begin(), Lookup.end(), Cell,
       [](const std::pair<CellId, int> &P, CellId C) { return P.first < C; });
@@ -66,14 +76,26 @@ bool Octagon::isBottom() const {
 }
 
 void Octagon::propagateThrough(int K) {
+  // A +inf entry of row K never tightens anything (every path through it
+  // sums to +inf) and stays +inf during this pivot, so the inner loop runs
+  // over row K's other columns only, in the dense loop's order. Their
+  // values are re-read on every row: pivoting row K itself can lower them.
+  double *D = M.data();
+  const double *RowK = D + static_cast<size_t>(K) * N;
+  uint8_t Cols[MaxNodes];
+  int NumCols = 0;
+  for (int J = 0; J < N; ++J)
+    if (RowK[J] != INFINITY)
+      Cols[NumCols++] = static_cast<uint8_t>(J);
   for (int I = 0; I < N; ++I) {
-    double MIK = at(I, K);
-    if (std::isinf(MIK) && MIK > 0)
+    double *RowI = D + static_cast<size_t>(I) * N;
+    double MIK = RowI[K];
+    if (MIK == INFINITY)
       continue;
-    for (int J = 0; J < N; ++J) {
-      double Via = addUpInf(MIK, at(K, J));
-      if (Via < at(I, J))
-        at(I, J) = Via;
+    for (int C = 0; C < NumCols; ++C) {
+      int J = Cols[C];
+      double Via = addUpInf(MIK, RowK[J]);
+      RowI[J] = Via < RowI[J] ? Via : RowI[J];
     }
   }
 }
@@ -87,15 +109,36 @@ bool Octagon::finishClosure() {
   // dirty work of the *next* closure: a small vertex cover of their
   // endpoint variables goes into StarDirty, whose rows/columns the next
   // incremental closure relaxes and pivots through.
+  //
+  // With U[i] = m(i, i^1) the doubled unary bounds, the candidate for (I, J)
+  // is (U[I] + U[J^1]) / 2. The loop never lowers a unary entry (the
+  // candidate there, 2 U[I] / 2 rounded up, is never below U[I]), so U is
+  // read once; a +inf U[I] or
+  // U[J^1] gives a +inf candidate, which tightens nothing, so only the
+  // rows and columns with a finite unary bound are visited.
   uint32_t Incidence[16] = {};
   bool AnyFired = false;
+  double *D = M.data();
+  double U[MaxNodes];
+  uint8_t Rows[MaxNodes], Cols[MaxNodes];
+  int NumRows = 0, NumCols = 0;
   for (int I = 0; I < N; ++I) {
-    double DI = at(I, I ^ 1);
-    for (int J = 0; J < N; ++J) {
-      double DJ = at(J ^ 1, J);
-      double Via = addUpInf(DI, DJ) / 2.0;
-      if (Via < at(I, J)) {
-        at(I, J) = Via;
+    U[I] = D[static_cast<size_t>(I) * N + (I ^ 1)];
+    if (U[I] != INFINITY)
+      Rows[NumRows++] = static_cast<uint8_t>(I);
+  }
+  for (int J = 0; J < N; ++J)
+    if (U[J ^ 1] != INFINITY)
+      Cols[NumCols++] = static_cast<uint8_t>(J);
+  for (int R = 0; R < NumRows; ++R) {
+    int I = Rows[R];
+    double DI = U[I];
+    double *RowI = D + static_cast<size_t>(I) * N;
+    for (int C = 0; C < NumCols; ++C) {
+      int J = Cols[C];
+      double Via = addUpInf(DI, U[J ^ 1]) / 2.0;
+      if (Via < RowI[J]) {
+        RowI[J] = Via;
         Incidence[I >> 1] |= 1u << (J >> 1);
         AnyFired = true;
       }
@@ -109,16 +152,17 @@ bool Octagon::finishClosure() {
     // every fired entry must be incident to a StarDirty variable. In
     // steady state one variable's unary bound changed and every fired
     // entry is incident to it, so the cover is a single star.
+    size_t K = size();
     uint32_t Partners[16];
-    for (size_t V = 0; V < Vars.size(); ++V)
+    for (size_t V = 0; V < K; ++V)
       Partners[V] = Incidence[V];
-    for (size_t V = 0; V < Vars.size(); ++V)
-      for (size_t W = 0; W < Vars.size(); ++W)
+    for (size_t V = 0; V < K; ++V)
+      for (size_t W = 0; W < K; ++W)
         if (Incidence[V] & (1u << W))
           Partners[W] |= 1u << V;
     for (;;) {
       size_t Best = 0, BestCount = 0;
-      for (size_t V = 0; V < Vars.size(); ++V) {
+      for (size_t V = 0; V < K; ++V) {
         size_t C = static_cast<size_t>(std::popcount(Partners[V]));
         if (C > BestCount) {
           BestCount = C;
@@ -129,7 +173,7 @@ bool Octagon::finishClosure() {
         break;
       StarDirty |= 1u << Best;
       Partners[Best] = 0;
-      for (size_t V = 0; V < Vars.size(); ++V)
+      for (size_t V = 0; V < K; ++V)
         Partners[V] &= ~(1u << Best);
     }
   }
@@ -169,16 +213,16 @@ bool Octagon::close() {
   // inequality: when the restricted pass would do as much work as the
   // full sweep (in particular the all-dirty post-widening closure), run —
   // and meter — the full algorithm.
-  bool Incremental = Mode == OctClosureMode::Incremental &&
+  bool Incremental = Pack->Mode == OctClosureMode::Incremental &&
                      (PivotDirty | StarDirty) != 0 &&
-                     2 * P + 3 * S < 2 * Vars.size();
-  if (Stats) {
+                     2 * P + 3 * S < 2 * size();
+  if (OctagonClosureStats *Stats = Pack->Stats.get()) {
     auto &Counter = Incremental ? Stats->Incremental : Stats->Full;
     Counter.fetch_add(1, std::memory_order_relaxed);
   }
   if (Incremental) {
     uint32_t All = Pivot | StarDirty;
-    for (size_t V = 0; V < Vars.size(); ++V) {
+    for (size_t V = 0; V < size(); ++V) {
       if (!(All & (1u << V)))
         continue;
       int Even = static_cast<int>(2 * V), Odd = Even + 1;
@@ -202,39 +246,52 @@ void Octagon::relaxColumn(int C) {
   // One relaxation round m(i,C) <- min_a m(i,a) + m(a,C): composes every
   // already-propagated path with one direct edge into C. Together with
   // relaxRow it completes C's row/column before C's nodes are pivoted, so
-  // star-shaped edge sets incident to C need no pivots elsewhere.
+  // star-shaped edge sets incident to C need no pivots elsewhere. A +inf
+  // m(a,C) or m(i,a) tightens nothing and is skipped; m(a,C) is re-read
+  // for every a, since earlier rounds may have lowered it.
+  double *D = M.data();
+  double *ColC = D + C;
   for (int A = 0; A < N; ++A) {
     if (A == C)
       continue;
-    double MAC = at(A, C);
-    if (std::isinf(MAC) && MAC > 0)
+    double MAC = ColC[static_cast<size_t>(A) * N];
+    if (MAC == INFINITY)
       continue;
+    const double *ColA = D + A;
     for (int I = 0; I < N; ++I) {
-      double Via = addUpInf(at(I, A), MAC);
-      if (Via < at(I, C))
-        at(I, C) = Via;
+      double MIA = ColA[static_cast<size_t>(I) * N];
+      if (MIA == INFINITY)
+        continue;
+      double Via = addUpInf(MIA, MAC);
+      double &Slot = ColC[static_cast<size_t>(I) * N];
+      Slot = Via < Slot ? Via : Slot;
     }
   }
 }
 
 void Octagon::relaxRow(int R) {
   // Mirror of relaxColumn: m(R,j) <- min_b m(R,b) + m(b,j).
+  double *D = M.data();
+  double *RowR = D + static_cast<size_t>(R) * N;
   for (int B = 0; B < N; ++B) {
     if (B == R)
       continue;
-    double MRB = at(R, B);
-    if (std::isinf(MRB) && MRB > 0)
+    double MRB = RowR[B];
+    if (MRB == INFINITY)
       continue;
+    const double *RowB = D + static_cast<size_t>(B) * N;
     for (int J = 0; J < N; ++J) {
-      double Via = addUpInf(MRB, at(B, J));
-      if (Via < at(R, J))
-        at(R, J) = Via;
+      double MBJ = RowB[J];
+      if (MBJ == INFINITY)
+        continue;
+      double Via = addUpInf(MRB, MBJ);
+      RowR[J] = Via < RowR[J] ? Via : RowR[J];
     }
   }
 }
 
 bool Octagon::leq(const Octagon &O) const {
-  assert(Vars == O.Vars && "pack mismatch");
+  assert(cells() == O.cells() && "pack mismatch");
   if (isBottom())
     return true;
   if (O.isBottom())
@@ -281,7 +338,7 @@ bool Octagon::equal(const Octagon &O) const {
 }
 
 void Octagon::joinWith(const Octagon &O) {
-  assert(Vars == O.Vars && "pack mismatch");
+  assert(cells() == O.cells() && "pack mismatch");
   if (O.isBottom())
     return;
   if (isBottom()) {
@@ -302,7 +359,7 @@ void Octagon::joinWith(const Octagon &O) {
 }
 
 void Octagon::meetWith(const Octagon &O) {
-  assert(Vars == O.Vars && "pack mismatch");
+  assert(cells() == O.cells() && "pack mismatch");
   for (int P = 0; P < N; ++P)
     for (int Q = 0; Q < N; ++Q)
       if (O.at(P, Q) < at(P, Q)) {
@@ -314,7 +371,7 @@ void Octagon::meetWith(const Octagon &O) {
 
 void Octagon::widenWith(const Octagon &O, const Thresholds &T,
                         bool WithThresholds) {
-  assert(Vars == O.Vars && "pack mismatch");
+  assert(cells() == O.cells() && "pack mismatch");
   if (O.isBottom())
     return;
   if (isBottom()) {
@@ -352,7 +409,7 @@ void Octagon::widenWith(const Octagon &O, const Thresholds &T,
 }
 
 void Octagon::narrowWith(const Octagon &O) {
-  assert(Vars == O.Vars && "pack mismatch");
+  assert(cells() == O.cells() && "pack mismatch");
   for (int P = 0; P < N; ++P)
     for (int Q = 0; Q < N; ++Q) {
       double Mine = at(P, Q);
@@ -435,18 +492,26 @@ double Octagon::formUpperBound(
   // constraints; the remainder is bounded term-wise with the tighter of the
   // octagon unary bound and the external interval.
   struct Term {
-    int Idx;      ///< Pack index or -1.
-    CellId Cell;
+    int Idx = -1; ///< Pack index or -1.
+    CellId Cell = 0;
     Interval Coef;
     bool Used = false;
   };
-  std::vector<Term> Terms;
-  for (const auto &[Cell, Coef] : Form.terms()) {
-    Term T;
-    T.Idx = indexOf(Cell);
-    T.Cell = Cell;
-    T.Coef = Coef;
-    Terms.push_back(T);
+  // Forms rarely have more terms than a pack has cells (at most 16): those
+  // live on the stack, longer ones on the heap.
+  Term Inline[16];
+  std::vector<Term> Heap;
+  size_t NumTerms = Form.terms().size();
+  Term *Terms = Inline;
+  if (NumTerms > std::size(Inline)) {
+    Heap.resize(NumTerms);
+    Terms = Heap.data();
+  }
+  for (size_t K = 0; K < NumTerms; ++K) {
+    const auto &[Cell, Coef] = Form.terms()[K];
+    Terms[K].Idx = indexOf(Cell);
+    Terms[K].Cell = Cell;
+    Terms[K].Coef = Coef;
   }
   auto UnitSign = [](const Interval &C) -> int {
     if (C == Interval::point(1.0))
@@ -455,13 +520,13 @@ double Octagon::formUpperBound(
       return -1;
     return 0;
   };
-  for (size_t I = 0; I < Terms.size(); ++I) {
+  for (size_t I = 0; I < NumTerms; ++I) {
     if (Terms[I].Used || Terms[I].Idx < 0)
       continue;
     int SI = UnitSign(Terms[I].Coef);
     if (SI == 0)
       continue;
-    for (size_t J = I + 1; J < Terms.size(); ++J) {
+    for (size_t J = I + 1; J < NumTerms; ++J) {
       if (Terms[J].Used || Terms[J].Idx < 0)
         continue;
       int SJ = UnitSign(Terms[J].Coef);
@@ -479,7 +544,8 @@ double Octagon::formUpperBound(
       }
     }
   }
-  for (const Term &T : Terms) {
+  for (size_t K = 0; K < NumTerms; ++K) {
+    const Term &T = Terms[K];
     if (T.Used)
       continue;
     Interval R = T.Idx >= 0 ? varInterval(T.Idx).meet(CellRange(T.Cell))
@@ -501,6 +567,7 @@ void Octagon::assign(int Idx, const LinearForm &Form,
   close();
   if (Empty)
     return;
+  const std::vector<CellId> &Vars = cells();
   CellId Self = Vars[Idx];
   LinearForm::OctShape Shape = Form.octagonShape();
 
@@ -682,8 +749,9 @@ bool Octagon::hasRelationalInfo() const {
 
 void Octagon::countConstraints(uint64_t &Additive,
                                uint64_t &Subtractive) const {
-  for (int I = 0; I < static_cast<int>(Vars.size()); ++I) {
-    for (int J = I + 1; J < static_cast<int>(Vars.size()); ++J) {
+  int K = static_cast<int>(size());
+  for (int I = 0; I < K; ++I) {
+    for (int J = I + 1; J < K; ++J) {
       // x_i - x_j carries information on either side?
       if (entryIsInformative(2 * I, 2 * J) ||
           entryIsInformative(2 * J, 2 * I))
@@ -698,6 +766,7 @@ void Octagon::countConstraints(uint64_t &Additive,
 std::string Octagon::toString() const {
   if (isBottom())
     return "_|_";
+  const std::vector<CellId> &Vars = cells();
   std::string Out;
   for (int I = 0; I < static_cast<int>(Vars.size()); ++I) {
     Interval V = varInterval(I);

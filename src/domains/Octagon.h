@@ -92,8 +92,8 @@ public:
   Octagon(const Octagon &O);
   Octagon &operator=(const Octagon &) = delete;
 
-  const std::vector<CellId> &cells() const { return Vars; }
-  size_t size() const { return Vars.size(); }
+  const std::vector<CellId> &cells() const { return Pack->Cells; }
+  size_t size() const { return Pack->Cells.size(); }
   /// Index of \p Cell in the pack, or -1. Binary search over a sorted
   /// (cell, index) table — this runs once per transfer per pack.
   int indexOf(CellId Cell) const;
@@ -188,7 +188,7 @@ private:
     Closed = false;
   }
   uint32_t allDirtyMask() const {
-    return (1u << Vars.size()) - 1u;
+    return (1u << Pack->Cells.size()) - 1u;
   }
   /// One Floyd-Warshall pivot: relaxes every (I, J) through node K.
   void propagateThrough(int K);
@@ -204,10 +204,17 @@ private:
   /// v := v + [a, b] (in-place shift, no closure lost).
   void shiftVar(int Idx, const Interval &Delta);
 
-  std::vector<CellId> Vars;
-  /// (cell, pack index) sorted by cell id, for the indexOf binary search.
-  std::vector<std::pair<CellId, int>> Lookup;
-  int N; ///< 2 * Vars.size().
+  /// The per-pack constants, built once by the constructor and shared,
+  /// immutable, by every copy: a copy allocates only its DBM.
+  struct Layout {
+    std::vector<CellId> Cells;
+    /// (cell, pack index) sorted by cell id, for the indexOf binary search.
+    std::vector<std::pair<CellId, int>> Lookup;
+    OctClosureMode Mode;
+    std::shared_ptr<OctagonClosureStats> Stats;
+  };
+  std::shared_ptr<const Layout> Pack;
+  int N; ///< 2 * size().
   std::vector<double> M;
   /// Variables whose rows/columns hold tightenings incident to them on
   /// *both* endpoints (guards, unary meets): restoring closure needs a
@@ -220,8 +227,11 @@ private:
   uint32_t StarDirty = 0;
   bool Closed = false;
   bool Empty = false;
-  OctClosureMode Mode;
-  std::shared_ptr<OctagonClosureStats> Stats;
+
+  /// Read and write access to the representation for the closure-kernel
+  /// differential test, which replays the kernels against a dense
+  /// reference copy.
+  friend struct OctagonKernelAccess;
 };
 
 } // namespace astral

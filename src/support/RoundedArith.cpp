@@ -17,14 +17,6 @@ namespace rounded {
 // coefficients and integral bounds then stay points, which the octagon shape
 // detection and linear-form cancellation rely on.
 
-/// True when X + Y was computed without rounding (Sterbenz-style residual
-/// check; sufficient, not necessary, which is fine for soundness).
-static bool addExact(double X, double Y, double R) {
-  if (!std::isfinite(R))
-    return false;
-  return R - X == Y && R - Y == X;
-}
-
 /// Below this magnitude an FMA residual can itself round to zero (the exact
 /// residual of a 106-bit product lies under the subnormal floor 2^-1074), so
 /// a zero residual no longer proves exactness.
@@ -52,50 +44,22 @@ static bool divExact(double X, double Y, double R) {
   return std::fma(R, Y, -X) == 0.0 && std::isfinite(R * Y);
 }
 
-/// Nearest-rounded overflow of finite operands produces ±inf, but the
-/// directed modes produce ±DBL_MAX: the infinity must be brought back to
-/// the largest finite value on the inward-facing bound. A true infinite
-/// operand keeps its exact infinite result.
-static double nudgeDownChecked(double R, double X, double Y) {
+// Nearest-rounded overflow of finite operands produces ±inf, but the
+// directed modes produce ±DBL_MAX: the infinity must be brought back to
+// the largest finite value on the inward-facing bound. A true infinite
+// operand keeps its exact infinite result.
+double nudgeDownChecked(double R, double X, double Y) {
   if (R == std::numeric_limits<double>::infinity() && std::isfinite(X) &&
       std::isfinite(Y))
     return std::numeric_limits<double>::max();
   return nudgeDown(R);
 }
 
-static double nudgeUpChecked(double R, double X, double Y) {
+double nudgeUpChecked(double R, double X, double Y) {
   if (R == -std::numeric_limits<double>::infinity() && std::isfinite(X) &&
       std::isfinite(Y))
     return -std::numeric_limits<double>::max();
   return nudgeUp(R);
-}
-
-double addDown(double X, double Y) {
-  double R = X + Y;
-  if (std::isnan(R) || addExact(X, Y, R))
-    return R;
-  return nudgeDownChecked(R, X, Y);
-}
-
-double addUp(double X, double Y) {
-  double R = X + Y;
-  if (std::isnan(R) || addExact(X, Y, R))
-    return R;
-  return nudgeUpChecked(R, X, Y);
-}
-
-double subDown(double X, double Y) {
-  double R = X - Y;
-  if (std::isnan(R) || addExact(X, -Y, R))
-    return R;
-  return nudgeDownChecked(R, X, Y);
-}
-
-double subUp(double X, double Y) {
-  double R = X - Y;
-  if (std::isnan(R) || addExact(X, -Y, R))
-    return R;
-  return nudgeUpChecked(R, X, Y);
 }
 
 double mulDown(double X, double Y) {

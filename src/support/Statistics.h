@@ -28,6 +28,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace astral {
 
@@ -38,40 +39,55 @@ public:
   Statistics(const Statistics &O) : Counters(O.snapshot()) {}
   Statistics &operator=(const Statistics &O) {
     if (this != &O) {
-      std::map<std::string, uint64_t> Copy = O.snapshot();
+      CounterMap Copy = O.snapshot();
       std::lock_guard<std::mutex> L(Mu);
       Counters = std::move(Copy);
     }
     return *this;
   }
 
-  void add(const std::string &Name, uint64_t Delta = 1) {
+  // Names are looked up as string views: a bump of an existing counter
+  // allocates nothing, only the first insertion of a name copies it.
+  void add(std::string_view Name, uint64_t Delta = 1) {
     std::lock_guard<std::mutex> L(Mu);
-    Counters[Name] += Delta;
+    slot(Name) += Delta;
   }
-  void set(const std::string &Name, uint64_t Value) {
+  void set(std::string_view Name, uint64_t Value) {
     std::lock_guard<std::mutex> L(Mu);
-    Counters[Name] = Value;
+    slot(Name) = Value;
   }
-  uint64_t get(const std::string &Name) const {
+  uint64_t get(std::string_view Name) const {
     std::lock_guard<std::mutex> L(Mu);
     auto It = Counters.find(Name);
     return It == Counters.end() ? 0 : It->second;
   }
   /// A consistent copy of every counter (sorted by name).
-  std::map<std::string, uint64_t> all() const { return snapshot(); }
+  std::map<std::string, uint64_t> all() const {
+    std::lock_guard<std::mutex> L(Mu);
+    return {Counters.begin(), Counters.end()};
+  }
 
   /// Renders "name = value" lines sorted by name.
   std::string toString() const;
 
 private:
-  std::map<std::string, uint64_t> snapshot() const {
+  /// std::less<> makes find() accept a string_view without a copy.
+  using CounterMap = std::map<std::string, uint64_t, std::less<>>;
+
+  CounterMap snapshot() const {
     std::lock_guard<std::mutex> L(Mu);
     return Counters;
   }
+  /// The counter for \p Name, inserted at 0 when new. Mu must be held.
+  uint64_t &slot(std::string_view Name) {
+    auto It = Counters.find(Name);
+    if (It == Counters.end())
+      It = Counters.emplace(std::string(Name), 0).first;
+    return It->second;
+  }
 
   mutable std::mutex Mu;
-  std::map<std::string, uint64_t> Counters;
+  CounterMap Counters;
 };
 
 } // namespace astral

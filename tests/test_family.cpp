@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/FamilyGenerator.h"
+#include "support/Sha256.h"
 
 #include "TestUtil.h"
 
@@ -42,6 +43,44 @@ TEST(Family, Deterministic) {
   C.Seed = 8;
   FamilyProgram D = generateFamilyProgram(C);
   EXPECT_NE(A.Source, D.Source);
+}
+
+// The generated sources are pinned byte for byte: the size test of the
+// module loop decides where a member ends, so a change to how the generator
+// counts lines would silently change every family member (and every
+// measurement taken on one). The digests were taken from the generator
+// that rescanned its buffers after each module.
+TEST(Family, SourcesPinnedBySha256) {
+  struct Pin {
+    unsigned Lines;
+    uint64_t Seed;
+    unsigned Bugs;
+    const char *Digest;
+  };
+  const Pin Pins[] = {
+      {60, 10232583327509954220ull, 0,
+       "08f67e1e1380aa7b9d4414a132a10ebf7442c18f53a1a1d5e8a158d453c03e92"},
+      {125, 7, 0,
+       "8aea9bb50ff307f42fca75e540840c74ba28508508a89084a9fda2588747b058"},
+      {1000, 42, 0,
+       "946cd95f98c9844b79bea2dc241829fa944c0a57370111021d59999067c5104f"},
+      {2000, 42, 0,
+       "8abceeb7d9d245e082f0f1d26a84cdfec465b453fba06954bd1cd7ddf0e0a57a"},
+      {4000, 1, 0,
+       "453e5340dd5d1fa20fe3f08625657053d81eddb311b60b00c0dce99fd6a189a8"},
+      {8000, 7, 0,
+       "1882906b223d1f8f0498bf17be0e3af17ba697d11682531e477f6f9f9219b804"},
+      {1000, 42, 2,
+       "8b325c6d010e48c41fbbc02c48b2839235e8506009ab1257500806de5da6d836"},
+  };
+  for (const Pin &P : Pins) {
+    GeneratorConfig C;
+    C.TargetLines = P.Lines;
+    C.Seed = P.Seed;
+    C.InjectedBugs = P.Bugs;
+    EXPECT_EQ(sha256::hexDigest(generateFamilyProgram(C).Source), P.Digest)
+        << "lines=" << P.Lines << " seed=" << P.Seed << " bugs=" << P.Bugs;
+  }
 }
 
 TEST(Family, ScalesWithTarget) {

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <optional>
 #include <random>
 
 using namespace astral;
@@ -488,3 +490,395 @@ TEST_P(OctagonClosureDifferential, IncrementalEqualsFullClosure) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OctagonClosureDifferential,
                          ::testing::Values(1, 77, 4096, 900913));
+
+// -- Closure kernels against a dense reference -------------------------------
+//
+// The closure kernels skip +inf entries, hoist row pointers and use the
+// inline rounding fast path. They must compute exactly what the dense
+// kernels they replaced computed: the same DBM bits, the same carried dirty
+// sets, the same emptiness verdict and the same full/incremental choice.
+// The dense kernels are kept below, local to this test, as the reference,
+// and both are run on identical inputs whose constants are not dyadic, so
+// path sums round and the nudge path runs.
+
+namespace astral {
+/// Test-side access to an octagon's representation (a friend of Octagon).
+struct OctagonKernelAccess {
+  struct State {
+    std::vector<double> M;
+    uint32_t PivotDirty = 0;
+    uint32_t StarDirty = 0;
+    bool Closed = false;
+    bool Empty = false;
+  };
+  static State state(const Octagon &O) {
+    return {O.M, O.PivotDirty, O.StarDirty, O.Closed, O.Empty};
+  }
+  static void load(Octagon &O, const State &S) {
+    O.M = S.M;
+    O.PivotDirty = S.PivotDirty;
+    O.StarDirty = S.StarDirty;
+    O.Closed = S.Closed;
+    O.Empty = S.Empty;
+  }
+};
+} // namespace astral
+
+namespace {
+
+using KernelState = OctagonKernelAccess::State;
+
+/// The former addUpInf: the infinity rule, then the nearest sum nudged one
+/// ulp up with nextafter unless the residual test proves it exact.
+double refAddUpInf(double A, double B) {
+  if (std::isinf(A) || std::isinf(B))
+    return (A > 0 || B > 0) ? INFINITY : -INFINITY;
+  double R = A + B;
+  if (std::isnan(R) || (std::isfinite(R) && R - A == B && R - B == A))
+    return R;
+  if (R == -INFINITY) // Overflow of finite operands.
+    return -std::numeric_limits<double>::max();
+  return std::isinf(R) ? R : std::nextafter(R, INFINITY);
+}
+
+/// The dense closure kernels and close() driver as they were before the
+/// +inf-skipping rewrite, over a bare DBM.
+struct DenseReference {
+  int N;
+  size_t K; ///< Pack size.
+  OctClosureMode Mode;
+  KernelState S;
+  bool RanIncremental = false;
+
+  double &at(int P, int Q) { return S.M[static_cast<size_t>(P) * N + Q]; }
+
+  void propagateThrough(int Piv) {
+    for (int I = 0; I < N; ++I) {
+      double MIK = at(I, Piv);
+      if (std::isinf(MIK) && MIK > 0)
+        continue;
+      for (int J = 0; J < N; ++J) {
+        double Via = refAddUpInf(MIK, at(Piv, J));
+        if (Via < at(I, J))
+          at(I, J) = Via;
+      }
+    }
+  }
+
+  void relaxColumn(int C) {
+    for (int A = 0; A < N; ++A) {
+      if (A == C)
+        continue;
+      double MAC = at(A, C);
+      if (std::isinf(MAC) && MAC > 0)
+        continue;
+      for (int I = 0; I < N; ++I) {
+        double Via = refAddUpInf(at(I, A), MAC);
+        if (Via < at(I, C))
+          at(I, C) = Via;
+      }
+    }
+  }
+
+  void relaxRow(int R) {
+    for (int B = 0; B < N; ++B) {
+      if (B == R)
+        continue;
+      double MRB = at(R, B);
+      if (std::isinf(MRB) && MRB > 0)
+        continue;
+      for (int J = 0; J < N; ++J) {
+        double Via = refAddUpInf(MRB, at(B, J));
+        if (Via < at(R, J))
+          at(R, J) = Via;
+      }
+    }
+  }
+
+  bool finishClosure() {
+    uint32_t Incidence[16] = {};
+    bool AnyFired = false;
+    for (int I = 0; I < N; ++I) {
+      double DI = at(I, I ^ 1);
+      for (int J = 0; J < N; ++J) {
+        double DJ = at(J ^ 1, J);
+        double Via = refAddUpInf(DI, DJ) / 2.0;
+        if (Via < at(I, J)) {
+          at(I, J) = Via;
+          Incidence[I >> 1] |= 1u << (J >> 1);
+          AnyFired = true;
+        }
+      }
+    }
+    S.Closed = true;
+    S.PivotDirty = 0;
+    S.StarDirty = 0;
+    if (AnyFired) {
+      uint32_t Partners[16];
+      for (size_t V = 0; V < K; ++V)
+        Partners[V] = Incidence[V];
+      for (size_t V = 0; V < K; ++V)
+        for (size_t W = 0; W < K; ++W)
+          if (Incidence[V] & (1u << W))
+            Partners[W] |= 1u << V;
+      for (;;) {
+        size_t Best = 0, BestCount = 0;
+        for (size_t V = 0; V < K; ++V) {
+          size_t C = static_cast<size_t>(std::popcount(Partners[V]));
+          if (C > BestCount) {
+            BestCount = C;
+            Best = V;
+          }
+        }
+        if (BestCount == 0)
+          break;
+        S.StarDirty |= 1u << Best;
+        Partners[Best] = 0;
+        for (size_t V = 0; V < K; ++V)
+          Partners[V] &= ~(1u << Best);
+      }
+    }
+    for (int I = 0; I < N; ++I) {
+      if (at(I, I) < 0.0) {
+        S.Empty = true;
+        return false;
+      }
+      at(I, I) = 0.0;
+    }
+    return true;
+  }
+
+  bool close() {
+    if (S.Empty)
+      return false;
+    if (S.Closed)
+      return true;
+    uint32_t Pivot = S.PivotDirty & ~S.StarDirty;
+    size_t P = static_cast<size_t>(std::popcount(Pivot));
+    size_t St = static_cast<size_t>(std::popcount(S.StarDirty));
+    RanIncremental = Mode == OctClosureMode::Incremental &&
+                     (S.PivotDirty | S.StarDirty) != 0 &&
+                     2 * P + 3 * St < 2 * K;
+    if (RanIncremental) {
+      uint32_t All = Pivot | S.StarDirty;
+      for (size_t V = 0; V < K; ++V) {
+        if (!(All & (1u << V)))
+          continue;
+        int Even = static_cast<int>(2 * V), Odd = Even + 1;
+        if (S.StarDirty & (1u << V)) {
+          relaxColumn(Even);
+          relaxColumn(Odd);
+          relaxRow(Even);
+          relaxRow(Odd);
+        }
+        propagateThrough(Even);
+        propagateThrough(Odd);
+      }
+    } else {
+      for (int Piv = 0; Piv < N; ++Piv)
+        propagateThrough(Piv);
+    }
+    return finishClosure();
+  }
+};
+
+/// Closes \p O (built in \p Mode, metering into \p Sink) with its kernels,
+/// and a copy of its prior state with the dense reference: the DBM bits,
+/// the dirty sets, the flags, the result and the metered algorithm must
+/// all agree.
+::testing::AssertionResult closesLikeReference(Octagon &O,
+                                               OctClosureMode Mode,
+                                               const OctagonClosureStats &Sink) {
+  DenseReference Ref{static_cast<int>(2 * O.size()), O.size(), Mode,
+                     OctagonKernelAccess::state(O)};
+  bool RefRuns = !Ref.S.Empty && !Ref.S.Closed;
+  uint64_t FullBefore = Sink.full(), IncBefore = Sink.incremental();
+  bool RefResult = Ref.close();
+  bool Result = O.close();
+  KernelState Got = OctagonKernelAccess::state(O);
+  if (Result != RefResult)
+    return ::testing::AssertionFailure()
+           << "close() returned " << Result << ", reference " << RefResult;
+  for (size_t I = 0; I < Got.M.size(); ++I)
+    if (std::bit_cast<uint64_t>(Got.M[I]) !=
+        std::bit_cast<uint64_t>(Ref.S.M[I]))
+      return ::testing::AssertionFailure()
+             << "entry (" << I / (2 * O.size()) << ", " << I % (2 * O.size())
+             << ") = " << std::hexfloat << Got.M[I] << ", reference "
+             << Ref.S.M[I];
+  if (Got.PivotDirty != Ref.S.PivotDirty || Got.StarDirty != Ref.S.StarDirty)
+    return ::testing::AssertionFailure()
+           << "dirty sets " << Got.PivotDirty << "/" << Got.StarDirty
+           << ", reference " << Ref.S.PivotDirty << "/" << Ref.S.StarDirty;
+  if (Got.Closed != Ref.S.Closed || Got.Empty != Ref.S.Empty)
+    return ::testing::AssertionFailure()
+           << "closed/empty " << Got.Closed << "/" << Got.Empty
+           << ", reference " << Ref.S.Closed << "/" << Ref.S.Empty;
+  uint64_t RanFull = Sink.full() - FullBefore;
+  uint64_t RanInc = Sink.incremental() - IncBefore;
+  uint64_t WantFull = RefRuns && !Ref.RanIncremental ? 1 : 0;
+  uint64_t WantInc = RefRuns && Ref.RanIncremental ? 1 : 0;
+  if (RanFull != WantFull || RanInc != WantInc)
+    return ::testing::AssertionFailure()
+           << "metered full/incremental " << RanFull << "/" << RanInc
+           << ", reference " << WantFull << "/" << WantInc;
+  return ::testing::AssertionSuccess();
+}
+
+/// A non-dyadic constant (thirds, sevenths, tenths): sums of these round.
+double nonDyadic(std::mt19937_64 &Rng) {
+  static const double Dens[] = {3.0, 7.0, 10.0, 0.3};
+  return static_cast<double>(static_cast<int64_t>(Rng() % 161) - 80) /
+         Dens[Rng() % 4];
+}
+
+} // namespace
+
+class OctagonKernelDifferential : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(OctagonKernelDifferential, RandomDbmsMatchDenseReference) {
+  // Arbitrary DBMs with arbitrary dirty sets: not states the transfer
+  // functions reach, but every input the kernels can be handed. About a
+  // quarter of the binary entries and half the unary ones are +inf (finite
+  // unary bounds let the strengthening mask what the other kernels did), a
+  // few are -inf, and a few diagonals go negative so the emptiness verdict
+  // is exercised too.
+  std::mt19937_64 Rng(GetParam());
+  for (int Pack = 1; Pack <= 16; ++Pack) {
+    std::vector<CellId> Cells;
+    for (int I = 0; I < Pack; ++I)
+      Cells.push_back(static_cast<CellId>(5 * I + 2));
+    int N = 2 * Pack;
+    for (int Trial = 0; Trial < 24; ++Trial) {
+      OctClosureMode Mode = Trial % 3 == 0 ? OctClosureMode::Full
+                                           : OctClosureMode::Incremental;
+      auto Sink = std::make_shared<OctagonClosureStats>();
+      Octagon O(Cells, Mode, Sink);
+      KernelState S = OctagonKernelAccess::state(O);
+      for (int P = 0; P < N; ++P)
+        for (int Q = 0; Q < N; ++Q) {
+          double &E = S.M[static_cast<size_t>(P) * N + Q];
+          uint64_t Roll = Rng() % 100;
+          if (P == Q)
+            E = Roll < 4 ? -std::fabs(nonDyadic(Rng)) / 64 : 0.0;
+          else if (Roll < 25 || (Q == (P ^ 1) && Roll < 50))
+            E = INFINITY;
+          else if (Roll < 27)
+            E = -INFINITY;
+          else if (Roll < 35)
+            E = nonDyadic(Rng) * 1e300;
+          else
+            E = nonDyadic(Rng);
+        }
+      // Mostly one or two dirty variables, which the cost gate sends to
+      // the incremental kernels (star-dirty ones through the row/column
+      // relaxations); every fourth trial arbitrary masks, which mostly
+      // take the full sweep.
+      uint32_t All = (1u << Pack) - 1u;
+      auto OneVar = [&] { return 1u << (Rng() % Pack); };
+      if (Trial % 4 == 3) {
+        S.PivotDirty = static_cast<uint32_t>(Rng()) & All;
+        S.StarDirty = static_cast<uint32_t>(Rng()) & All;
+      } else {
+        S.PivotDirty = OneVar() | (Trial % 2 ? OneVar() : 0);
+        S.StarDirty = Trial % 4 == 0 ? 0 : OneVar();
+      }
+      S.Closed = false;
+      S.Empty = false;
+      OctagonKernelAccess::load(O, S);
+      ASSERT_TRUE(closesLikeReference(O, Mode, *Sink))
+          << "pack=" << Pack << " trial=" << Trial;
+      // Closing the closed result again is a cached no-op on both sides.
+      ASSERT_TRUE(closesLikeReference(O, Mode, *Sink))
+          << "pack=" << Pack << " trial=" << Trial << " (second close)";
+    }
+  }
+}
+
+TEST_P(OctagonKernelDifferential, OpSequencesMatchDenseReference) {
+  // The assign/guard/forget/shift sequences of OctagonClosureDifferential
+  // plus widening and joins, with non-dyadic constants, in both closure
+  // disciplines. Every closure the test demands is checked against the
+  // reference; the closures inside assign/guard are then checked through
+  // the state they leave behind.
+  std::mt19937_64 Rng(GetParam());
+  auto Top = [](CellId) { return Interval::top(); };
+  Thresholds T = Thresholds::geometric(0.3, 10.0, 8);
+  for (OctClosureMode Mode :
+       {OctClosureMode::Incremental, OctClosureMode::Full}) {
+    for (int Pack = 1; Pack <= 16; ++Pack) {
+      std::vector<CellId> Cells;
+      for (int I = 0; I < Pack; ++I)
+        Cells.push_back(static_cast<CellId>(3 * I + 1));
+      auto Sink = std::make_shared<OctagonClosureStats>();
+      std::optional<Octagon> Slot(std::in_place, Cells, Mode, Sink);
+      for (int Step = 0; Step < 40; ++Step) {
+        Octagon &O = *Slot;
+        int V = static_cast<int>(Rng() % Pack);
+        int W = static_cast<int>(Rng() % Pack);
+        double C = nonDyadic(Rng);
+        switch (Rng() % 9) {
+        case 0: // Unary meet.
+          O.meetVarInterval(V, Interval(C - std::fabs(nonDyadic(Rng)), C));
+          break;
+        case 1: // Binary guard v - w + c <= 0.
+          O.guardLe(LinearForm::var(Cells[V])
+                        .sub(LinearForm::var(Cells[W]))
+                        .add(LinearForm::constant(Interval::point(C))),
+                    Top);
+          break;
+        case 2: // Exact assign v := w + c.
+          O.assign(V,
+                   LinearForm::var(Cells[W]).add(
+                       LinearForm::constant(Interval::point(C))),
+                   Top);
+          break;
+        case 3:
+          O.forget(V);
+          break;
+        case 4: // Shift v := v + [c, c + 1/3].
+          O.assign(V,
+                   LinearForm::var(Cells[V]).add(LinearForm::constant(
+                       Interval(C, C + 1.0 / 3.0))),
+                   Top);
+          break;
+        case 5: { // Smart fallback v := w1 + w2 + c (star closure).
+          int W2 = static_cast<int>(Rng() % Pack);
+          O.assign(V,
+                   LinearForm::var(Cells[W])
+                       .add(LinearForm::var(Cells[W2]))
+                       .add(LinearForm::constant(Interval::point(C))),
+                   Top);
+          break;
+        }
+        case 6:   // Widening against a shifted copy, with and
+        case 7: { // without thresholds.
+          Octagon Next(O);
+          Next.assign(V,
+                      LinearForm::var(Cells[V]).add(LinearForm::constant(
+                          Interval(0.0, std::fabs(C) + 0.1))),
+                      Top);
+          O.widenWith(Next, T, /*WithThresholds=*/Step % 2 == 0);
+          break;
+        }
+        default: { // Join with a tightened copy (left non-closed).
+          Octagon Other(O);
+          Other.meetVarInterval(W, Interval(C - 1.0 / 7.0, C));
+          Other.close();
+          O.joinWith(Other);
+          O.meetVarInterval(V, Interval(-std::fabs(C) - 0.7, 1e6 / 3.0));
+          break;
+        }
+        }
+        ASSERT_TRUE(closesLikeReference(O, Mode, *Sink))
+            << "pack=" << Pack << " step=" << Step;
+        if (O.isBottom()) // Start over from top.
+          Slot.emplace(Cells, Mode, Sink);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OctagonKernelDifferential,
+                         ::testing::Values(3, 2718, 65537));

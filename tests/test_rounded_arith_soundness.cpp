@@ -18,8 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cfenv>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <vector>
 
 using namespace astral;
@@ -197,4 +201,192 @@ TEST(RoundedArithSoundness, BracketWidthStaysOneUlpish) {
     EXPECT_GE(Lo, std::nextafter(2 * X, -INFINITY));
     EXPECT_LE(Hi, std::nextafter(2 * X, INFINITY));
   }
+}
+
+// -- Bit-exactness of the inline fast paths ---------------------------------
+//
+// The add/sub fast paths (inline exactness test, one-ulp nudge on the IEEE
+// bit pattern) must return exactly what the former out-of-line
+// implementation returned. That implementation is kept here, verbatim in
+// behavior, as the reference: nextafter-based nudges and the same residual
+// exactness test, under every FPU rounding mode.
+
+namespace reference {
+
+double nudgeDown(double X) {
+  if (std::isinf(X) || std::isnan(X))
+    return X;
+  return std::nextafter(X, -std::numeric_limits<double>::infinity());
+}
+
+double nudgeUp(double X) {
+  if (std::isinf(X) || std::isnan(X))
+    return X;
+  return std::nextafter(X, std::numeric_limits<double>::infinity());
+}
+
+bool addExact(double X, double Y, double R) {
+  if (!std::isfinite(R))
+    return false;
+  return R - X == Y && R - Y == X;
+}
+
+double nudgeDownChecked(double R, double X, double Y) {
+  if (R == std::numeric_limits<double>::infinity() && std::isfinite(X) &&
+      std::isfinite(Y))
+    return std::numeric_limits<double>::max();
+  return nudgeDown(R);
+}
+
+double nudgeUpChecked(double R, double X, double Y) {
+  if (R == -std::numeric_limits<double>::infinity() && std::isfinite(X) &&
+      std::isfinite(Y))
+    return -std::numeric_limits<double>::max();
+  return nudgeUp(R);
+}
+
+double addDown(double X, double Y) {
+  double R = X + Y;
+  if (std::isnan(R) || addExact(X, Y, R))
+    return R;
+  return nudgeDownChecked(R, X, Y);
+}
+
+double addUp(double X, double Y) {
+  double R = X + Y;
+  if (std::isnan(R) || addExact(X, Y, R))
+    return R;
+  return nudgeUpChecked(R, X, Y);
+}
+
+double subDown(double X, double Y) {
+  double R = X - Y;
+  if (std::isnan(R) || addExact(X, -Y, R))
+    return R;
+  return nudgeDownChecked(R, X, Y);
+}
+
+double subUp(double X, double Y) {
+  double R = X - Y;
+  if (std::isnan(R) || addExact(X, -Y, R))
+    return R;
+  return nudgeUpChecked(R, X, Y);
+}
+
+} // namespace reference
+
+namespace {
+
+uint64_t bitsOf(double X) { return std::bit_cast<uint64_t>(X); }
+
+/// Asserts that the four add/sub functions and both nudges agree bit for
+/// bit with the reference on (X, Y) under the current rounding mode.
+::testing::AssertionResult sameBits(double X, double Y) {
+  struct Op {
+    const char *Name;
+    double Got, Want;
+  };
+  volatile double VX = X, VY = Y; // No constant folding across modes.
+  const Op Ops[] = {
+      {"addDown", addDown(VX, VY), reference::addDown(VX, VY)},
+      {"addUp", addUp(VX, VY), reference::addUp(VX, VY)},
+      {"subDown", subDown(VX, VY), reference::subDown(VX, VY)},
+      {"subUp", subUp(VX, VY), reference::subUp(VX, VY)},
+      {"nudgeDown", nudgeDown(VX), reference::nudgeDown(VX)},
+      {"nudgeUp", nudgeUp(VX), reference::nudgeUp(VX)},
+  };
+  for (const Op &O : Ops)
+    if (bitsOf(O.Got) != bitsOf(O.Want))
+      return ::testing::AssertionFailure()
+             << O.Name << "(" << std::hexfloat << X << ", " << Y
+             << ") = " << O.Got << ", reference " << O.Want
+             << " (rounding mode " << std::fegetround() << ")";
+  return ::testing::AssertionSuccess();
+}
+
+/// Runs sameBits over every pair of \p Xs x \p Ys under every rounding
+/// mode, restoring round-to-nearest afterwards.
+void expectSameBitsEverywhere(const std::vector<double> &Xs,
+                              const std::vector<double> &Ys) {
+  int Saved = std::fegetround();
+  for (int Mode : AllModes) {
+    std::fesetround(Mode);
+    for (double X : Xs)
+      for (double Y : Ys) {
+        ::testing::AssertionResult R = sameBits(X, Y);
+        if (!R) {
+          std::fesetround(Saved);
+          FAIL() << R.message();
+        }
+      }
+  }
+  std::fesetround(Saved);
+}
+
+} // namespace
+
+TEST(RoundedArithBitExact, SpecialValues) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double Den = std::numeric_limits<double>::denorm_min();
+  const double Min = std::numeric_limits<double>::min();
+  const double Max = std::numeric_limits<double>::max();
+  std::vector<double> Specials = {0.0,  -0.0, Den,  -Den, Min,
+                                  -Min, Max,  -Max, Inf,  -Inf,
+                                  std::numeric_limits<double>::quiet_NaN(),
+                                  1.0,  -1.0, 0.1,  -0.1, 1.0 / 3.0};
+  expectSameBitsEverywhere(Specials, Specials);
+}
+
+TEST(RoundedArithBitExact, SumsStraddlingOverflow) {
+  // Operands within a few ulps of DBL_MAX and half of it: their sums land
+  // just below, at, and beyond the overflow threshold, in both signs.
+  const double Max = std::numeric_limits<double>::max();
+  std::vector<double> Near;
+  for (double Base : {Max, Max / 2}) {
+    double X = Base;
+    for (int Ulp = 0; Ulp < 4; ++Ulp) {
+      Near.push_back(X);
+      Near.push_back(-X);
+      X = std::nextafter(X, 0.0);
+    }
+  }
+  const double Ulp = Max - std::nextafter(Max, 0.0); // 2^971.
+  for (double Small : {Ulp / 4, Ulp / 2, Ulp, 2 * Ulp, 1.0}) {
+    Near.push_back(Small);
+    Near.push_back(-Small);
+  }
+  expectSameBitsEverywhere(Near, Near);
+}
+
+TEST(RoundedArithBitExact, MillionRandomPairs) {
+  // Half the pairs are raw bit patterns (every exponent, subnormals,
+  // infinities and NaNs); half are close in magnitude, where exact and
+  // inexact sums and cancellations alternate.
+  std::mt19937_64 Rng(20030609);
+  const size_t Pairs = 1u << 20;
+  std::vector<double> Xs(Pairs), Ys(Pairs);
+  for (size_t I = 0; I < Pairs; ++I) {
+    if (I % 2 == 0) {
+      Xs[I] = std::bit_cast<double>(Rng());
+      Ys[I] = std::bit_cast<double>(Rng());
+    } else {
+      std::uniform_real_distribution<double> Unit(-1.0, 1.0);
+      double Scale = std::ldexp(1.0, static_cast<int>(Rng() % 64) - 32);
+      Xs[I] = Unit(Rng) * Scale;
+      Ys[I] = Rng() % 4 == 0 ? std::ldexp(std::nearbyint(Xs[I] * 1024), -10)
+                             : Unit(Rng) * Scale;
+    }
+  }
+  int Saved = std::fegetround();
+  for (int Mode : AllModes) {
+    std::fesetround(Mode);
+    for (size_t I = 0; I < Pairs; ++I) {
+      ::testing::AssertionResult R = sameBits(Xs[I], Ys[I]);
+      if (!R) {
+        std::fesetround(Saved);
+        FAIL() << "pair " << I << ": " << R.message();
+      }
+    }
+  }
+  std::fesetround(Saved);
 }
