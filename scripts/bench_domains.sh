@@ -77,14 +77,9 @@ echo "bench_domains: wrote $OUT"
 
 # ---------------------------------------------------------------------------
 # BENCH_parallel.json: speedup-vs-jobs series from bench_parallel_jobs.
-# Rows: "PARALLEL single jobs=N dispatch=seq|groups seconds=S speedup=X
-#        alarms=A" (the pack-dispatch dimension isolates the grouped
-#        transfer grain), "PARALLEL partition jobs=N dispatch=seq|par
-#        seconds=S speedup=X reps=R" (the trace-partition grain on
-#        examples/partitioned_switch.cpp), "PARALLEL call jobs=N
-#        dispatch=seq|par seconds=S speedup=X reps=R" (the call-context
-#        grain on the same example) and "PARALLEL batch jobs=N files=K
-#        seconds=S speedup=X".
+# Rows: "PARALLEL batch jobs=N files=K seconds=S speedup=X" — whole files
+# scheduled across the pool, the only grain --jobs parallelizes (one file
+# always runs on one thread).
 # ---------------------------------------------------------------------------
 # Surface the bench's own diagnostic (e.g. "DETERMINISM VIOLATION ...") on
 # failure — it prints to stdout, which the capture would otherwise swallow.
@@ -94,38 +89,25 @@ if ! PAR_RAW=$("$PARALLEL" 2>/dev/null); then
   exit 1
 fi
 
-par_series() { # $1 = single|batch
-  printf '%s\n' "$PAR_RAW" | awk -v kind="$1" '
-    $1 == "PARALLEL" && $2 == kind {
-      jobs = seconds = speedup = dispatch = ""
-      for (i = 3; i <= NF; i++) {
-        split($i, kv, "=")
-        if (kv[1] == "jobs") jobs = kv[2]
-        if (kv[1] == "seconds") seconds = kv[2]
-        if (kv[1] == "speedup") speedup = kv[2]
-        if (kv[1] == "dispatch") dispatch = kv[2]
-      }
-      if (dispatch != "")
-        rows[n++] = sprintf("    {\"jobs\": %s, \"dispatch\": \"%s\", \"seconds\": %s, \"speedup\": %s}",
-                            jobs, dispatch, seconds, speedup)
-      else
-        rows[n++] = sprintf("    {\"jobs\": %s, \"seconds\": %s, \"speedup\": %s}",
-                            jobs, seconds, speedup)
+BATCH_JSON=$(printf '%s\n' "$PAR_RAW" | awk '
+  $1 == "PARALLEL" && $2 == "batch" {
+    jobs = seconds = speedup = ""
+    for (i = 3; i <= NF; i++) {
+      split($i, kv, "=")
+      if (kv[1] == "jobs") jobs = kv[2]
+      if (kv[1] == "seconds") seconds = kv[2]
+      if (kv[1] == "speedup") speedup = kv[2]
     }
-    END { for (i = 0; i < n; i++) printf "%s%s\n", rows[i], (i + 1 < n ? "," : "") }'
-}
-
-SINGLE_JSON=$(par_series single)
-PARTITION_JSON=$(par_series partition)
-CALL_JSON=$(par_series call)
-BATCH_JSON=$(par_series batch)
+    rows[n++] = sprintf("    {\"jobs\": %s, \"seconds\": %s, \"speedup\": %s}",
+                        jobs, seconds, speedup)
+  }
+  END { for (i = 0; i < n; i++) printf "%s%s\n", rows[i], (i + 1 < n ? "," : "") }')
 BATCH_FILES=$(printf '%s\n' "$PAR_RAW" | awk '
   $1 == "PARALLEL" && $2 == "batch" {
     for (i = 3; i <= NF; i++) { split($i, kv, "="); if (kv[1] == "files") { print kv[2]; exit } }
   }')
 
-if [[ -z "$SINGLE_JSON" || -z "$PARTITION_JSON" || -z "$CALL_JSON" ||
-      -z "$BATCH_JSON" ]]; then
+if [[ -z "$BATCH_JSON" ]]; then
   echo "bench_domains: could not parse bench_parallel_jobs output" >&2
   exit 1
 fi
@@ -140,15 +122,6 @@ cat > "$PAR_OUT" <<EOF
   "generated": "$DATE",
   "git": "$GIT_REV",
   "hardware_cores": ${PAR_CORES:-1},
-  "single_file": [
-$SINGLE_JSON
-  ],
-  "partition": [
-$PARTITION_JSON
-  ],
-  "call": [
-$CALL_JSON
-  ],
   "batch": {
     "files": $BATCH_FILES,
     "series": [

@@ -81,10 +81,9 @@ public:
   }
 
   /// Folds another set's alarms into this one: equivalent to re-issuing
-  /// every report of \p O, in \p O's report order. Partition workers buffer
-  /// alarms into private sets; the master merges them back in canonical
-  /// partition order, so the combined record/repeat/definite state is
-  /// byte-identical to the sequential run.
+  /// every report of \p O, in \p O's report order. The concurrency driver
+  /// merges the startup run's and every thread's alarm sets this way, in
+  /// thread-declaration order.
   void merge(const AlarmSet &O) {
     for (const Alarm &A : O.Alarms) {
       auto [It, Inserted] = Index.try_emplace(

@@ -8,6 +8,7 @@
 #include "analyzer/AnalysisSession.h"
 
 #include "analyzer/Iterator.h"
+#include "analyzer/Scheduler.h"
 #include "concurrency/ConcurrentAnalysis.h"
 #include "ir/ConstFold.h"
 #include "ir/Lowering.h"
@@ -150,15 +151,8 @@ void fingerprintExecution(const AnalyzerOptions &O, FingerprintWriter &W) {
     W.field("volatile_range", std::string(Buf));
   }
   W.field("clock_max", O.ClockMax);
-  // Jobs and the dispatch modes cannot change the report (the determinism
-  // guarantee), but they do change the execution artifact's work-metering
-  // statistics — so they fingerprint into the execution phase, never into
-  // the shareable ones.
-  W.field("jobs", uint64_t(O.Jobs));
-  W.field("pack_dispatch", uint64_t(static_cast<uint8_t>(O.PackDispatch)));
-  W.field("partition_dispatch",
-          uint64_t(static_cast<uint8_t>(O.PartitionDispatch)));
-  W.field("call_dispatch", uint64_t(static_cast<uint8_t>(O.CallDispatch)));
+  // Jobs is deliberately absent: it only sizes the batch pool, and one file
+  // always runs on one thread, so it cannot change any artifact.
   W.field("max_call_depth", uint64_t(O.MaxCallDepth));
   W.field("record_loop_invariants", O.RecordLoopInvariants);
   // Resource governance fingerprints into the execution phase only: the
@@ -262,26 +256,11 @@ std::string AnalysisSession::packingCacheKey(const AnalysisInput &In) {
 }
 
 //===----------------------------------------------------------------------===//
-// Scheduler selection
+// Cancellation
 //===----------------------------------------------------------------------===//
-
-void AnalysisSession::setScheduler(std::shared_ptr<Scheduler> S) {
-  Sched = std::move(S);
-  SchedulerInjected = Sched != nullptr;
-}
 
 void AnalysisSession::setCancelToken(std::shared_ptr<cancel::Token> T) {
   ExternalCancel = std::move(T);
-}
-
-Scheduler *AnalysisSession::schedulerForRun() {
-  if (SchedulerInjected)
-    return Sched.get();
-  if (!Sched || SchedulerJobs != In.Options.Jobs) {
-    Sched = Scheduler::create(In.Options.Jobs);
-    SchedulerJobs = In.Options.Jobs;
-  }
-  return Sched.get();
 }
 
 //===----------------------------------------------------------------------===//
@@ -522,9 +501,9 @@ const AnalysisSession::ExecutionPhase &AnalysisSession::runAbstractExecution() {
   // begins from the same metered baseline (the unwound attempt's abstract
   // state freed itself under this session's counter), so the whole ladder
   // is a deterministic function of the analysis and the budget — never of
-  // wall clock or worker timing. When even the fully-degraded run does not
-  // fit, the budget is waived: Astrée's contract is "always terminate with
-  // a sound result", and the report says honestly what happened.
+  // wall clock. When even the fully-degraded run does not fit, the budget
+  // is waived: Astrée's contract is "always terminate with a sound
+  // result", and the report says honestly what happened.
   std::vector<std::string> Steps;
   bool Waived = false;
   for (;;) {
@@ -562,24 +541,14 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
   const PackingPhase &P = buildPacks();
   ExecutionPhase E;
 
-  // The session's own byte meter is ambient for the whole phase; the
-  // Scheduler re-installs it on every worker running this session's tasks,
-  // so concurrent sessions (batch files, daemon requests) each read their
-  // own high-water mark.
+  // The session's own byte meter is ambient for the whole phase. The whole
+  // phase runs on this thread, so concurrent sessions (batch files, daemon
+  // requests) each read their own high-water mark.
   memtrack::CounterScope MemScope(&Mem);
   Mem.resetPeak();
   AlarmSet Alarms;
 
-  // The scheduler is ambient for the whole phase: the per-slot lattice and
-  // reduction stages of AbstractEnv/Transfer fan out over it. Except when
-  // this session already runs *inside* a pool task (a batch file on a
-  // worker): nested parallelFor would only run inline, so installing the
-  // pool there would pay the staging overhead for nothing.
-  SchedulerScope Scope(Scheduler::inWorkerTask() ? nullptr
-                                                 : schedulerForRun());
   Timer AnalysisTimer;
-  size_t MaxPartitionWidth = 0;
-  size_t MaxCallWidth = 0;
   if (In.Options.Threads.empty()) {
     Iterator Iter(*Frontend->Program, *Layout->Layout, *P.Registry,
                   In.Options, E.Stats, Alarms);
@@ -587,15 +556,9 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
     E.Alarms = Alarms.alarms();
     E.LoopInvariants = Iter.loopInvariants();
     E.RelPackImproved = Iter.transfer().RelPackImproved;
-    MaxPartitionWidth = Iter.maxPartitionDispatchWidth();
-    MaxCallWidth = Iter.maxCallDispatchWidth();
   } else {
     // Threaded program: the interference fixpoint rounds of
     // concurrency::ConcurrentAnalysis replace the single sequential run.
-    // Per-thread analyses fan out over the same ambient scheduler (the
-    // fourth parallel grain); every merge is in thread-declaration order,
-    // so the report stays byte-identical across --jobs and both dispatch
-    // modes.
     concurrency::ConcurrentAnalysis CA(*Frontend->Program, *Layout->Layout,
                                        *P.Registry, In.Options, E.Stats);
     concurrency::ConcurrentResult CR = CA.run();
@@ -603,8 +566,6 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
     E.Alarms = CR.Alarms.alarms();
     E.LoopInvariants = std::move(CR.LoopInvariants);
     E.RelPackImproved = std::move(CR.RelPackImproved);
-    MaxPartitionWidth = CR.MaxPartitionWidth;
-    MaxCallWidth = CR.MaxCallWidth;
     E.Stats.set("concurrency.threads", In.Options.Threads.size());
     E.Stats.set("concurrency.rounds", CR.Rounds);
     E.Stats.set("concurrency.interference_cells", CR.InterferenceCells);
@@ -627,32 +588,6 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
   E.Stats.set("analysis.octagon_closures", FullSweeps + IncSweeps);
   E.Stats.set("analysis.octagon_closures_full", FullSweeps);
   E.Stats.set("analysis.octagon_closures_incremental", IncSweeps);
-  // Pack-group dispatch shape: the per-domain plan census and the mode the
-  // run used — work-meter counters like the per-sweep dispatch counts in
-  // Transfer, reported here so `parallel.*` describes the whole strategy.
-  E.Stats.set("parallel.pack_dispatch_groups",
-              In.Options.PackDispatch == PackDispatchMode::Groups ? 1 : 0);
-  // Trace-partition dispatch shape: the mode plus the widest disjunction
-  // the Iterator actually fanned out (`parallel.partitions.dispatched`
-  // accumulates per-dispatch widths during the run) — the proof the third
-  // grain ran, used by the determinism matrix and the dispatch tests.
-  E.Stats.set("parallel.partition_dispatch_par",
-              In.Options.PartitionDispatch == PartitionDispatchMode::Parallel
-                  ? 1
-                  : 0);
-  E.Stats.set("parallel.partitions.max_width", MaxPartitionWidth);
-  // Call-context dispatch shape, same contract as the partition grain:
-  // `call_dispatch.dispatched` accumulates per-dispatch widths during the run.
-  E.Stats.set("parallel.call_dispatch_par",
-              In.Options.CallDispatch == CallDispatchMode::Parallel ? 1 : 0);
-  E.Stats.set("parallel.calls.max_width", MaxCallWidth);
-  for (size_t D = 0; D < P.Registry->size(); ++D) {
-    const PackGroupPlan &Plan = P.Registry->groupPlan(D);
-    std::string Prefix =
-        std::string("parallel.groups.") + P.Registry->domain(D).name();
-    E.Stats.set(Prefix + ".count", Plan.numGroups());
-    E.Stats.set(Prefix + ".largest", Plan.largestGroup());
-  }
   return E;
 }
 
@@ -755,12 +690,10 @@ AnalysisSession::analyzeBatch(const std::vector<AnalysisInput> &Inputs) {
     Jobs = std::max(Jobs, Scheduler::effectiveJobs(I.Options.Jobs));
   std::shared_ptr<Scheduler> Pool = Scheduler::create(Jobs);
 
-  // Whole files are the tasks (Monniaux's coarse-grained dispatch); a
-  // file's own slot stages run inline on its worker, so one pool serves
-  // both granularities without oversubscription.
+  // Whole files are the tasks (Monniaux's coarse-grained dispatch); each
+  // file runs start to finish on the one thread that claimed it.
   Pool->parallelFor(Inputs.size(), [&](size_t I) {
     AnalysisSession S(Inputs[I]);
-    S.setScheduler(Pool);
     Results[I] = S.report();
   });
   return Results;

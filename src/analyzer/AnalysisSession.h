@@ -21,7 +21,7 @@
 /// `setOptions()` invalidates only from the first phase whose option
 /// fingerprint (optionsFingerprint) the new parametrization changes — a
 /// domain-ablation sweep pays the frontend once and re-runs from
-/// buildPacks() per configuration, while a --jobs or dispatch-mode change
+/// buildPacks() per configuration, while an iteration-strategy change
 /// re-runs the execution phase alone.
 ///
 /// Artifact sharing (the service mode's cache seam): the frontend, the cell
@@ -33,20 +33,14 @@
 /// sink, the execution artifact) is always rebuilt per session, so
 /// concurrent sessions sharing artifacts never share meters.
 ///
-/// Execution policy: AnalyzerOptions::Jobs selects the Scheduler
-/// (Scheduler.h) installed for the abstract-execution phase. The per-slot
-/// lattice and reduction stages then fan out over the registry's
-/// (domain, pack) slots, and analyzeBatch() schedules whole files across
-/// the same pool. The analysis semantics — alarms, ranges, invariants,
-/// pack census, everything the report layer prints — are byte-identical
-/// for every Jobs value: slot results are computed independently and
-/// applied in deterministic slot order. Work-metering figures are not:
-/// a parallel inclusion check evaluates slots a sequential one would
-/// short-circuit past. Both meter families are per-session — the octagon
-/// closure counters (the DomainRegistry owns the sink) and the peak
-/// abstract bytes (the session owns a memtrack::Counter that the Scheduler
-/// re-installs on every worker running the session's tasks) — so batch
-/// files and concurrent daemon requests meter their own work.
+/// Execution policy: one session always runs on one thread, start to
+/// finish. AnalyzerOptions::Jobs only sizes the pool analyzeBatch()
+/// schedules whole files across, so every report *and* every work counter
+/// is identical for every Jobs value. Both meter families are per-session —
+/// the octagon closure counters (the DomainRegistry owns the sink) and the
+/// peak abstract bytes (the session owns a memtrack::Counter it installs on
+/// its thread) — so batch files and concurrent daemon requests meter their
+/// own work.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +50,6 @@
 #include "analyzer/Analyzer.h"
 #include "analyzer/DomainRegistry.h"
 #include "analyzer/Packing.h"
-#include "analyzer/Scheduler.h"
 #include "ir/Ir.h"
 #include "lang/Ast.h"
 #include "memory/AbstractEnv.h"
@@ -155,8 +148,9 @@ public:
   /// option fingerprint the new options change: each phase is stale iff
   /// optionsFingerprint(old, P) != optionsFingerprint(new, P) (fingerprints
   /// are cumulative, so staleness cascades down the pipeline). Identical
-  /// options invalidate nothing; a --jobs or dispatch-mode change re-runs
-  /// only the execution phase; a domain or closure-mode change re-runs from
+  /// options invalidate nothing; a --jobs change invalidates nothing; an
+  /// iteration-strategy change re-runs only the execution phase; a domain
+  /// or closure-mode change re-runs from
   /// buildPacks(); an entry-function change re-runs everything.
   void setOptions(const AnalyzerOptions &O);
 
@@ -174,10 +168,6 @@ public:
   /// relevant-option drift misses.
   static std::string frontendCacheKey(const AnalysisInput &In);
   static std::string packingCacheKey(const AnalysisInput &In);
-
-  /// Shares an externally-owned scheduler (the batch pool). When unset, the
-  /// session builds its own from options().Jobs.
-  void setScheduler(std::shared_ptr<Scheduler> S);
 
   /// Injects an externally-owned cancellation token, installed as the
   /// ambient cancel::Token for the abstract-execution phase. The serve
@@ -231,16 +221,12 @@ public:
   analyzeBatch(const std::vector<AnalysisInput> &Inputs);
 
 private:
-  Scheduler *schedulerForRun();
   /// One attempt of the abstract-execution phase under the current options.
   /// Unwinds via cancel::AnalysisCancelled when the ambient token fires;
   /// runAbstractExecution wraps it in the budget-degradation retry loop.
   ExecutionPhase executeOnce();
 
   AnalysisInput In;
-  std::shared_ptr<Scheduler> Sched;     ///< Owned or injected pool.
-  bool SchedulerInjected = false;
-  unsigned SchedulerJobs = ~0u;         ///< Jobs value Sched was built for.
 
   std::shared_ptr<const FrontendPhase> Frontend;
   std::shared_ptr<const LayoutPhase> Layout;

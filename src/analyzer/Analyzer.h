@@ -88,8 +88,8 @@ struct AnalysisResult {
   /// reports (the goldens) are byte-identical to pre-governance builds.
   bool MemoryBudgetConfigured = false;
   /// The precision-shedding steps the budget ladder applied, in order
-  /// (empty = the run fit its budget). Deterministic across the
-  /// jobs x dispatch matrix — see docs/robustness.md.
+  /// (empty = the run fit its budget). Deterministic across runs and
+  /// --jobs values — see docs/robustness.md.
   std::vector<std::string> DegradeSteps;
   bool degraded() const { return !DegradeSteps.empty(); }
 

@@ -202,40 +202,14 @@ void printUsage(std::FILE *Out) {
       "reads from stdin.\n"
       "\n"
       "execution policy:\n"
-      "  --jobs <n>, --jobs=<n>       worker threads for the parallel\n"
-      "                               lattice/reduction stages and for\n"
-      "                               scheduling batch files (default: 1;\n"
-      "                               0 = one per hardware thread, i.e.\n"
+      "  --jobs <n>, --jobs=<n>       worker threads for scheduling batch\n"
+      "                               files; one file is always analysed\n"
+      "                               on one thread (default: 1; 0 = one\n"
+      "                               per hardware thread, i.e.\n"
       "                               hardware_concurrency; values above\n"
       "                               the hardware thread count warn once).\n"
       "                               Reports are byte-identical for every\n"
       "                               value.\n"
-      "  --pack-dispatch=<mode>       within-file transfer-sweep dispatch:\n"
-      "                               'groups' (default) fans the disjoint\n"
-      "                               pack groups of each relational domain\n"
-      "                               out over the worker pool with a\n"
-      "                               deterministic channel merge; 'seq'\n"
-      "                               keeps the historical sequential\n"
-      "                               reduction chain. Both modes produce\n"
-      "                               identical reports.\n"
-      "  --partition-dispatch=<mode>  trace-partition dispatch inside\n"
-      "                               `@astral partition` functions: 'par'\n"
-      "                               (default) fans the disjunction's\n"
-      "                               environments out over the worker\n"
-      "                               pool with a deterministic\n"
-      "                               partition-order merge; 'seq' keeps\n"
-      "                               the historical per-partition loop.\n"
-      "                               Both modes produce identical\n"
-      "                               reports.\n"
-      "  --call-dispatch=<mode>       call-context dispatch at call sites\n"
-      "                               reached from a multi-env disjunction:\n"
-      "                               'par' (default) inlines each\n"
-      "                               environment's callee body on the\n"
-      "                               worker pool with a deterministic\n"
-      "                               partition-order merge; 'seq' keeps\n"
-      "                               the historical per-context loop.\n"
-      "                               Both modes produce identical\n"
-      "                               reports.\n"
       "\n"
       "domain selection:\n"
       "  --domains=<list>             enabled abstract domains, a comma-\n"
@@ -286,8 +260,6 @@ void printUsage(std::FILE *Out) {
       "  `@astral clock-max 3.6e6`, `@astral partition f`,\n"
       "  `@astral threshold 500`, `@astral entry main`,\n"
       "  `@astral domains interval,octagon`, `@astral jobs 4`,\n"
-      "  `@astral pack-dispatch groups`, `@astral partition-dispatch par`,\n"
-      "  `@astral call-dispatch par`,\n"
       "  `@astral thread t1 worker` (one thread per directive),\n"
       "  `@astral octagon-closure full` (flags override directives).\n"
       "\n"
@@ -305,7 +277,7 @@ void printUsage(std::FILE *Out) {
       "                               against the session's deterministic\n"
       "                               byte meter — never wall clock — so\n"
       "                               budget outcomes are byte-identical\n"
-      "                               across --jobs and dispatch modes.\n"
+      "                               across runs and --jobs values.\n"
       "  --memory-budget-bytes=<n>    same budget with byte granularity\n"
       "                               (test harnesses; overrides/overridden\n"
       "                               by -mb, last one wins).\n"
@@ -496,76 +468,6 @@ ParseOutcome parseArgs(const std::vector<std::string> &Args, CliOptions &Cli) {
         for (const auto &T : Threads)
           O.Threads.push_back(T);
       });
-    } else if (A == "--pack-dispatch" || A.rfind("--pack-dispatch=", 0) == 0) {
-      std::string Val;
-      if (A == "--pack-dispatch") {
-        auto V = NextValue("--pack-dispatch");
-        if (!V)
-          return Res;
-        Val = *V;
-      } else {
-        Val = A.substr(std::string("--pack-dispatch=").size());
-      }
-      std::optional<PackDispatchMode> Mode;
-      if (Val == "seq")
-        Mode = PackDispatchMode::Sequential;
-      else if (Val == "groups")
-        Mode = PackDispatchMode::Groups;
-      if (!Mode) {
-        Failf("astral-cli: error: --pack-dispatch expects 'seq' or "
-              "'groups', got '%s'",
-              Val.c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back(
-          [Mode](AnalyzerOptions &O) { O.PackDispatch = *Mode; });
-    } else if (A == "--partition-dispatch" ||
-               A.rfind("--partition-dispatch=", 0) == 0) {
-      std::string Val;
-      if (A == "--partition-dispatch") {
-        auto V = NextValue("--partition-dispatch");
-        if (!V)
-          return Res;
-        Val = *V;
-      } else {
-        Val = A.substr(std::string("--partition-dispatch=").size());
-      }
-      std::optional<PartitionDispatchMode> Mode;
-      if (Val == "seq")
-        Mode = PartitionDispatchMode::Sequential;
-      else if (Val == "par")
-        Mode = PartitionDispatchMode::Parallel;
-      if (!Mode) {
-        Failf("astral-cli: error: --partition-dispatch expects 'seq' or "
-              "'par', got '%s'",
-              Val.c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back(
-          [Mode](AnalyzerOptions &O) { O.PartitionDispatch = *Mode; });
-    } else if (A == "--call-dispatch" || A.rfind("--call-dispatch=", 0) == 0) {
-      std::string Val;
-      if (A == "--call-dispatch") {
-        auto V = NextValue("--call-dispatch");
-        if (!V)
-          return Res;
-        Val = *V;
-      } else {
-        Val = A.substr(std::string("--call-dispatch=").size());
-      }
-      std::optional<CallDispatchMode> Mode;
-      if (Val == "seq")
-        Mode = CallDispatchMode::Sequential;
-      else if (Val == "par")
-        Mode = CallDispatchMode::Parallel;
-      if (!Mode) {
-        Failf("astral-cli: error: --call-dispatch expects 'seq' or 'par', "
-              "got '%s'",
-              Val.c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back(
-          [Mode](AnalyzerOptions &O) { O.CallDispatch = *Mode; });
     } else if (A == "--octagon-closure" ||
                A.rfind("--octagon-closure=", 0) == 0) {
       std::string Val;

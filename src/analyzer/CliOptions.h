@@ -9,8 +9,8 @@
 /// The command-line surface of the analyzer, factored out of the astral-cli
 /// driver so the service daemon speaks exactly the same dialect:
 ///
-///  - parseArgs: the full flag grammar (--domains, --jobs, dispatch modes,
-///    deprecated aliases, environment specification) producing deferred
+///  - parseArgs: the full flag grammar (--domains, --jobs, deprecated
+///    aliases, environment specification) producing deferred
 ///    AnalyzerOptions mutations, applied after the input's @astral spec
 ///    directives so flags override directives — in ONE place.
 ///  - loadInputFiles / assembleOptions: file reading (with C++-harness

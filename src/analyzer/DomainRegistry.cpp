@@ -776,9 +776,6 @@ public:
   const std::vector<PackId> &packsOf(CellId C) const override {
     return C < Packs.CellOct.size() ? Packs.CellOct[C] : noPacks();
   }
-  const std::vector<std::vector<PackId>> &cellPackIndex() const override {
-    return Packs.CellOct;
-  }
   size_t packCellCount(PackId P) const override {
     return Packs.OctPacks[P].Cells.size();
   }
@@ -846,9 +843,6 @@ public:
   const std::vector<PackId> &packsOf(CellId C) const override {
     return C < Packs.CellTree.size() ? Packs.CellTree[C] : noPacks();
   }
-  const std::vector<std::vector<PackId>> &cellPackIndex() const override {
-    return Packs.CellTree;
-  }
   size_t packCellCount(PackId P) const override {
     const TreePack &Pack = Packs.TreePacks[P];
     return Pack.Bools.size() + Pack.Nums.size();
@@ -897,9 +891,6 @@ public:
   size_t numPacks() const override { return Packs.EllPacks.size(); }
   const std::vector<PackId> &packsOf(CellId C) const override {
     return C < Packs.CellEll.size() ? Packs.CellEll[C] : noPacks();
-  }
-  const std::vector<std::vector<PackId>> &cellPackIndex() const override {
-    return Packs.CellEll;
   }
   size_t packCellCount(PackId P) const override {
     return Packs.EllPacks[P].Cells.size();
@@ -958,9 +949,4 @@ DomainRegistry::DomainRegistry(const Packing &Packs,
     Add(std::make_unique<DecisionTreeDomain>(Packs));
   if (Opts.domainEnabled(DomainKind::Ellipsoid))
     Add(std::make_unique<EllipsoidDomain>(Packs));
-  // One pack-group plan per adapter, fixed for the registry's lifetime: the
-  // grouped transfer dispatch partitions every sweep against these tables.
-  Plans.reserve(Domains.size());
-  for (const std::unique_ptr<RelationalDomain> &D : Domains)
-    Plans.push_back(PackGroupPlan::build(D->numPacks(), D->cellPackIndex()));
 }

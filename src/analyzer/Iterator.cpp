@@ -7,10 +7,7 @@
 
 #include "analyzer/Iterator.h"
 
-#include "analyzer/Scheduler.h"
-
 #include <cassert>
-#include <memory>
 
 using namespace astral;
 using namespace astral::ir;
@@ -178,136 +175,11 @@ void Iterator::recordLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv) {
   It->second = AbstractEnv::join(It->second, Incoming);
 }
 
-void Iterator::noteLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv) {
-  if (CollectMode)
-    PendingInvariants.emplace_back(LoopId, Inv);
-  else
-    recordLoopInvariant(LoopId, Inv);
-}
-
-//===----------------------------------------------------------------------===//
-// Trace-partition dispatch (the third parallel grain)
-//===----------------------------------------------------------------------===//
-
-struct Iterator::PartitionWorker {
-  AlarmSet Alarms;
-  Iterator Iter;
-  Disjunction Out;
-
-  explicit PartitionWorker(const Iterator &Parent) : Iter(Parent, Alarms) {}
-};
-
-Iterator::Iterator(const Iterator &Parent, AlarmSet &WorkerAlarms)
-    : P(Parent.P), Layout(Parent.Layout), Reg(Parent.Reg), Opts(Parent.Opts),
-      Stats(Parent.Stats), Alarms(WorkerAlarms), Thr(Parent.Thr),
-      T(Parent.T, WorkerAlarms), PartitionDepth(Parent.PartitionDepth),
-      CallDepth(Parent.CallDepth), FuncLocalCells(Parent.FuncLocalCells),
-      CollectMode(true) {
-  // The inherited stack levels are the master's: mark them collect-only so
-  // any break/continue/return crossing into them is buffered, never folded
-  // into a worker-local accumulator (per-worker eager folds would not
-  // replay the sequential reduce/join operation sequence byte for byte).
-  LoopStack.resize(Parent.LoopStack.size());
-  for (LoopCtx &C : LoopStack)
-    C.CollectOnly = true;
-  CallStack.resize(Parent.CallStack.size());
-  for (CallCtx &C : CallStack)
-    C.CollectOnly = true;
-}
-
-void Iterator::foldPending(AbstractEnv &Acc,
-                           std::vector<AbstractEnv> &Pending) {
-  for (AbstractEnv &E : Pending) {
+void Iterator::foldInto(AbstractEnv &Acc, Disjunction &Envs) {
+  for (AbstractEnv &E : Envs) {
     T.preJoinReduce(Acc, E);
     Acc = AbstractEnv::join(Acc, E);
   }
-  Pending.clear();
-}
-
-void Iterator::mergeWorker(PartitionWorker &W) {
-  // Alarms replay through AlarmSet::merge, not Transfer::alarm — the
-  // worker already metered alarms.reported into the shared Statistics at
-  // generation time.
-  Alarms.merge(W.Alarms);
-
-  // Pack-usefulness flags are monotone; OR is exact.
-  for (size_t D = 0; D < T.RelPackImproved.size(); ++D)
-    for (size_t Pk = 0; Pk < T.RelPackImproved[D].size(); ++Pk)
-      T.RelPackImproved[D][Pk] |= W.Iter.T.RelPackImproved[D][Pk];
-
-  // Shared-level accumulators: replay the worker's buffered environments
-  // with the canonical reduce-then-join fold. mergeWorker runs per worker
-  // in partition order, and each Pending list is in subtree order, so each
-  // accumulator sees exactly the sequential operation sequence.
-  for (size_t L = 0; L < LoopStack.size() && L < W.Iter.LoopStack.size();
-       ++L) {
-    foldPending(LoopStack[L].BreakAcc, W.Iter.LoopStack[L].PendingBreaks);
-    foldPending(LoopStack[L].ContinueAcc,
-                W.Iter.LoopStack[L].PendingContinues);
-  }
-  for (size_t L = 0; L < CallStack.size() && L < W.Iter.CallStack.size(); ++L)
-    foldPending(CallStack[L].ReturnAcc, W.Iter.CallStack[L].PendingReturns);
-
-  // Through noteLoopInvariant, not recordLoopInvariant directly: a call
-  // summary being recorded on this (master) iterator must capture the
-  // worker-surfaced invariants too.
-  for (auto &[LoopId, Inv] : W.Iter.PendingInvariants)
-    noteLoopInvariant(LoopId, Inv);
-  W.Iter.PendingInvariants.clear();
-}
-
-Iterator::Disjunction Iterator::runPartitioned(
-    Disjunction D, DispatchGrain Grain,
-    const std::function<Disjunction(Iterator &, AbstractEnv)> &Fn) {
-  const size_t N = D.size();
-  const bool Par =
-      Grain == DispatchGrain::Call
-          ? Opts.CallDispatch == CallDispatchMode::Parallel
-          : Opts.PartitionDispatch == PartitionDispatchMode::Parallel;
-  if (!Par || !Scheduler::wouldFanOut(N)) {
-    // The historical path: every partition inline, in partition order.
-    Disjunction Out;
-    for (AbstractEnv &E : D) {
-      Disjunction R = Fn(*this, std::move(E));
-      for (AbstractEnv &X : R)
-        Out.push_back(std::move(X));
-    }
-    return Out;
-  }
-
-  if (Grain == DispatchGrain::Call) {
-    Stats.add("call_dispatch.dispatched", N);
-    if (N > MaxCallWidth)
-      MaxCallWidth = N;
-  } else {
-    Stats.add("parallel.partitions.dispatched", N);
-    if (N > MaxDispatchWidth)
-      MaxDispatchWidth = N;
-  }
-
-  // Each partition gets its own worker context, built inside the task so
-  // the clone cost parallelizes too. Workers read the master only through
-  // const state that cannot change during the fan-out; nested dispatches
-  // inside a worker run inline (Scheduler::inWorkerTask).
-  std::vector<std::unique_ptr<PartitionWorker>> Workers(N);
-  Scheduler::runGroups(N, [&](size_t I) {
-    auto W = std::make_unique<PartitionWorker>(*this);
-    W->Out = Fn(W->Iter, std::move(D[I]));
-    Workers[I] = std::move(W);
-  });
-
-  // Deterministic merge: every worker's buffered effects and result
-  // environments, in canonical partition order.
-  Disjunction Out;
-  for (size_t I = 0; I < N; ++I) {
-    // A skipped slot can only mean the task threw; runGroups rethrows
-    // first-by-index, so control never reaches here with a null worker.
-    PartitionWorker &W = *Workers[I];
-    mergeWorker(W);
-    for (AbstractEnv &X : W.Out)
-      Out.push_back(std::move(X));
-  }
-  return Out;
 }
 
 AbstractEnv Iterator::execStmtSingle(const Stmt *S, AbstractEnv Env) {
@@ -341,27 +213,16 @@ Iterator::Disjunction Iterator::execStmt(const Stmt *S, Disjunction D) {
     return D;
   }
   case StmtKind::Assign: {
-    if (D.size() == 1) {
-      // The width-1 fast path: no dispatch bookkeeping on the hot loop.
-      D[0] = T.assign(std::move(D[0]), S->Lhs, S->Rhs);
-      return D;
-    }
-    return runPartitioned(std::move(D), DispatchGrain::Partition,
-                          [S](Iterator &W, AbstractEnv E) {
-                            Disjunction R;
-                            R.push_back(
-                                W.T.assign(std::move(E), S->Lhs, S->Rhs));
-                            return R;
-                          });
+    for (AbstractEnv &E : D)
+      E = T.assign(std::move(E), S->Lhs, S->Rhs);
+    return D;
   }
   case StmtKind::If: {
-    Disjunction Out = runPartitioned(std::move(D), DispatchGrain::Partition,
-                                     [S](Iterator &W, AbstractEnv E) {
-                                       Disjunction R;
-                                       W.T.checkCond(E, S->Cond);
-                                       W.execIf(S, std::move(E), R);
-                                       return R;
-                                     });
+    Disjunction Out;
+    for (AbstractEnv &E : D) {
+      T.checkCond(E, S->Cond);
+      execIf(S, std::move(E), Out);
+    }
     capPartitions(Out);
     return Out;
   }
@@ -370,72 +231,30 @@ Iterator::Disjunction Iterator::execStmt(const Stmt *S, Disjunction D) {
     return {execWhile(S, std::move(E))};
   }
   case StmtKind::Call: {
-    // The fourth grain: each environment of the disjunction inlines the
-    // callee independently (context-sensitive call contexts are the
-    // paper-sibling unit of the trace partitions), so the fan-out is gated
-    // on --call-dispatch, not --partition-dispatch.
-    Disjunction Out = runPartitioned(std::move(D), DispatchGrain::Call,
-                                     [S](Iterator &W, AbstractEnv E) {
-                                       Disjunction R;
-                                       R.push_back(
-                                           W.execCall(S, std::move(E)));
-                                       return R;
-                                     });
+    // Each environment of the disjunction inlines the callee independently
+    // (context-sensitive call contexts, in partition order).
+    for (AbstractEnv &E : D)
+      E = execCall(S, std::move(E));
     // Calls to partitioned functions may themselves create partitions;
-    // their merge already happened at the return point, so Out mirrors D —
-    // but the *call statement itself* multiplies nothing, and a partitioned
-    // caller can still arrive here over the cap, so cap like the If case.
-    capPartitions(Out);
-    return Out;
+    // their merge already happened at the return point, so D keeps its
+    // width — but the *call statement itself* multiplies nothing, and a
+    // partitioned caller can still arrive here over the cap, so cap like
+    // the If case.
+    capPartitions(D);
+    return D;
   }
-  case StmtKind::Return: {
+  case StmtKind::Return:
     assert(!CallStack.empty() && "return outside of any call");
-    CallCtx &C = CallStack.back();
-    if (C.CollectOnly) {
-      for (AbstractEnv &E : D)
-        C.PendingReturns.push_back(std::move(E));
-      return {};
-    }
-    AbstractEnv Acc = std::move(C.ReturnAcc);
-    for (AbstractEnv &E : D) {
-      T.preJoinReduce(Acc, E);
-      Acc = AbstractEnv::join(Acc, E);
-    }
-    C.ReturnAcc = std::move(Acc);
+    foldInto(CallStack.back().ReturnAcc, D);
     return {};
-  }
-  case StmtKind::Break: {
+  case StmtKind::Break:
     assert(!LoopStack.empty() && "break outside of any loop");
-    LoopCtx &C = LoopStack.back();
-    if (C.CollectOnly) {
-      for (AbstractEnv &E : D)
-        C.PendingBreaks.push_back(std::move(E));
-      return {};
-    }
-    AbstractEnv Acc = std::move(C.BreakAcc);
-    for (AbstractEnv &E : D) {
-      T.preJoinReduce(Acc, E);
-      Acc = AbstractEnv::join(Acc, E);
-    }
-    C.BreakAcc = std::move(Acc);
+    foldInto(LoopStack.back().BreakAcc, D);
     return {};
-  }
-  case StmtKind::Continue: {
+  case StmtKind::Continue:
     assert(!LoopStack.empty() && "continue outside of any loop");
-    LoopCtx &C = LoopStack.back();
-    if (C.CollectOnly) {
-      for (AbstractEnv &E : D)
-        C.PendingContinues.push_back(std::move(E));
-      return {};
-    }
-    AbstractEnv Acc = std::move(C.ContinueAcc);
-    for (AbstractEnv &E : D) {
-      T.preJoinReduce(Acc, E);
-      Acc = AbstractEnv::join(Acc, E);
-    }
-    C.ContinueAcc = std::move(Acc);
+    foldInto(LoopStack.back().ContinueAcc, D);
     return {};
-  }
   case StmtKind::Wait: {
     for (AbstractEnv &E : D)
       E = T.wait(std::move(E));
@@ -483,8 +302,7 @@ void Iterator::execIf(const Stmt *S, AbstractEnv Env, Disjunction &Out) {
   if (PartitionDepth > 0) {
     // Trace partitioning: delay the merge (Sect. 7.1.5). The census is
     // width-accurate — one count per environment whose merge was delayed —
-    // not one per execIf, so the dispatch counters it feeds stay
-    // trustworthy at any partition width.
+    // not one per execIf.
     Stats.add("partitioning.delayed_merges", ThenOut.size() + ElseOut.size());
     for (AbstractEnv &E : ThenOut)
       Out.push_back(std::move(E));
@@ -554,7 +372,7 @@ AbstractEnv Iterator::execWhile(const Stmt *S, AbstractEnv Env) {
     Exits.push_back(std::move(LoopStack.back().BreakAcc));
 
     if (Opts.RecordLoopInvariants)
-      noteLoopInvariant(S->LoopId, Invariant);
+      recordLoopInvariant(S->LoopId, Invariant);
     Exits.push_back(T.guard(std::move(Invariant), S->Cond, false));
   }
 

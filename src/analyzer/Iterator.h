@@ -53,16 +53,6 @@ public:
   Transfer &transfer() { return T; }
   const Thresholds &thresholds() const { return Thr; }
 
-  /// Widest disjunction the trace-partition dispatch actually fanned out
-  /// over the scheduler (0 when every loop ran inline) — the
-  /// `parallel.partitions.max_width` census of AnalysisSession.
-  size_t maxPartitionDispatchWidth() const { return MaxDispatchWidth; }
-
-  /// Widest call-site disjunction the call-context dispatch actually fanned
-  /// out (0 when every call ran inline) — the `parallel.calls.max_width`
-  /// census of AnalysisSession.
-  size_t maxCallDispatchWidth() const { return MaxCallWidth; }
-
 private:
   /// Trace partitions: a disjunction of environments (Sect. 7.1.5). Size 1
   /// unless inside a partitioned function.
@@ -85,44 +75,6 @@ private:
   AbstractEnv joinAll(Disjunction D);
   unsigned unrollFactor(uint32_t LoopId) const;
 
-  // -- Partition / call dispatch (the third and fourth parallel grains) ----
-  /// One partition worker's context: a private alarm buffer and a
-  /// sub-Iterator clone whose shared stack levels only collect.
-  struct PartitionWorker;
-
-  /// Which option gates a runPartitioned fan-out and which census it feeds:
-  /// the trace-partition grain (Assign/If per-partition loops,
-  /// --partition-dispatch) or the call-context grain (the Call loop,
-  /// --call-dispatch). Both grains share the worker-clone + collect-only
-  /// accumulator + replay-merge machinery.
-  enum class DispatchGrain : uint8_t { Partition, Call };
-
-  /// Worker clone: shares the immutable inputs and the thread-safe
-  /// Statistics, buffers alarms in \p WorkerAlarms, and marks every stack
-  /// level inherited from \p Parent collect-only so break/continue/return
-  /// environments crossing into shared levels are buffered instead of
-  /// folded — the master replays them in canonical partition order.
-  Iterator(const Iterator &Parent, AlarmSet &WorkerAlarms);
-
-  /// Runs \p Fn over every environment of \p D — the per-partition loops of
-  /// execStmt (Assign, If fan-out, Call) — fanning the partitions out over
-  /// the ambient Scheduler when \p Grain's dispatch option says par, inline
-  /// in partition order otherwise. The per-partition result disjunctions
-  /// are concatenated in partition order, and every worker side effect
-  /// (alarms, accumulator folds, loop invariants, pack-usefulness flags)
-  /// is replayed in the exact sequential operation sequence, so the
-  /// parallel path is byte-identical to the historical loop.
-  Disjunction
-  runPartitioned(Disjunction D, DispatchGrain Grain,
-                 const std::function<Disjunction(Iterator &, AbstractEnv)> &Fn);
-
-  /// Replays one worker's buffered effects onto this (master) iterator.
-  void mergeWorker(PartitionWorker &W);
-
-  /// Folds \p Pending into \p Acc with the canonical reduce-then-join
-  /// sequence, clearing \p Pending.
-  void foldPending(AbstractEnv &Acc, std::vector<AbstractEnv> &Pending);
-
   /// Caps \p Out at Opts.MaxPartitions by joining only the *overflow* into
   /// the last kept slot (deterministic order) — not the whole disjunction.
   void capPartitions(Disjunction &Out);
@@ -132,10 +84,9 @@ private:
   /// sibling contexts).
   void recordLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv);
 
-  /// The single loop-invariant effect choke point: buffers (collect mode)
-  /// or folds (master). All invariant surfacing — execWhile's own recording
-  /// and mergeWorker's pending replay — goes through here.
-  void noteLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv);
+  /// Folds \p Envs into \p Acc with the canonical reduce-then-join sequence
+  /// (the break/continue/return accumulators).
+  void foldInto(AbstractEnv &Acc, Disjunction &Envs);
 
   const ir::Program &P;
   const memory::CellLayout &Layout;
@@ -146,23 +97,16 @@ private:
   Thresholds Thr;
   Transfer T;
 
-  /// Per-level iteration context. Levels a partition worker inherits from
-  /// its parent are CollectOnly: the accumulators belong to the master, so
-  /// environments reaching them are buffered in the Pending lists (in
-  /// subtree order) for the master's in-partition-order replay. Levels the
-  /// worker pushes itself are private and fold as usual.
+  /// Per-level iteration context: the break/continue environments of each
+  /// enclosing loop and the return environments of each enclosing call.
   struct LoopCtx {
     AbstractEnv BreakAcc = AbstractEnv::bottom();
     AbstractEnv ContinueAcc = AbstractEnv::bottom();
-    bool CollectOnly = false;
-    std::vector<AbstractEnv> PendingBreaks, PendingContinues;
   };
   std::vector<LoopCtx> LoopStack;
 
   struct CallCtx {
     AbstractEnv ReturnAcc = AbstractEnv::bottom();
-    bool CollectOnly = false;
-    std::vector<AbstractEnv> PendingReturns;
   };
   std::vector<CallCtx> CallStack;
 
@@ -171,15 +115,6 @@ private:
   std::map<uint32_t, AbstractEnv> LoopInvariants;
   /// Cells of each function's non-parameter locals (havocked at entry).
   std::vector<std::vector<CellId>> FuncLocalCells;
-
-  /// True on partition-worker clones: loop invariants are buffered in
-  /// PendingInvariants (in subtree order) instead of folded into the map.
-  bool CollectMode = false;
-  std::vector<std::pair<uint32_t, AbstractEnv>> PendingInvariants;
-  /// Widest disjunction actually fanned out (master-thread only).
-  size_t MaxDispatchWidth = 0;
-  /// Widest call-site disjunction actually fanned out (master-thread only).
-  size_t MaxCallWidth = 0;
 };
 
 } // namespace astral

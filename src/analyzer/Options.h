@@ -30,41 +30,6 @@
 
 namespace astral {
 
-/// Within-file dispatch of the channel-feeding transfer sweeps
-/// (Transfer::relationalAssign, the relational guard paths):
-///  - Sequential: the historical reduction chain, every pack in slot order.
-///  - Groups: disjoint pack groups of the PackGroupPlan fan out over the
-///    ambient Scheduler; each worker chains its own group against a
-///    snapshot of the pre-sweep environment, and a deterministic merge
-///    (with conflict recomputation) folds the buffered channels back, so
-///    reports stay byte-identical to the sequential chain.
-enum class PackDispatchMode : uint8_t { Sequential, Groups };
-
-/// Partition-level dispatch of the Iterator's per-partition statement loops
-/// (Assign, If fan-out, Call) — the analyzer's third, coarsest parallel
-/// grain:
-///  - Sequential: the historical path, every partition of the disjunction
-///    in partition order on the calling thread.
-///  - Parallel: the disjunction's environments fan out over the ambient
-///    Scheduler; each worker runs against its own iteration context (a
-///    sub-Iterator whose shared stack levels only *collect* pending
-///    break/continue/return environments), and a deterministic merge
-///    replays every buffered effect in partition order — the exact
-///    sequential operation sequence, so reports stay byte-identical.
-enum class PartitionDispatchMode : uint8_t { Sequential, Parallel };
-
-/// Call-context dispatch of the Iterator's per-partition Call loops — the
-/// analyzer's fourth parallel grain, the call-context sibling of the trace
-/// partitions (Monniaux's parallel Astrée unit of work):
-///  - Sequential: the historical path, every environment of the call site's
-///    disjunction inlines the callee on the calling thread, in order.
-///  - Parallel: a call site reached from a multi-env disjunction fans the
-///    per-environment callee inlinings out over the ambient Scheduler,
-///    through the same worker-clone + collect-only accumulator + replay
-///    merge machinery as the partition dispatch, so reports stay
-///    byte-identical to the sequential loop.
-enum class CallDispatchMode : uint8_t { Sequential, Parallel };
-
 struct AnalyzerOptions {
   // -- Abstract domain selection (Sect. 6.2; the refinement sequence of the
   //    alarm experiment E2 ablates these one by one) ------------------------
@@ -130,45 +95,17 @@ struct AnalyzerOptions {
   double ClockMax = 3.6e6;
 
   // -- Execution policy ---------------------------------------------------------
-  /// Worker threads for the parallel lattice/reduction stages and for
-  /// AnalysisSession::analyzeBatch (Monniaux's parallel Astrée direction).
+  /// Width of the batch worker pool: AnalysisSession::analyzeBatch
+  /// (several inputs) schedules whole files across it (Monniaux's
+  /// coarse-grained direction; the serve daemon sizes its own pool from
+  /// `serve --jobs`). One file is always analysed on one thread, so Jobs
+  /// never changes a report, a work counter or the execution artifact — it
+  /// is outside every option fingerprint.
   /// 1 = sequential (default); 0 = one per hardware thread
   /// (std::thread::hardware_concurrency, resolved by
   /// Scheduler::effectiveJobs). Requests above the hardware thread count
-  /// warn once — oversubscription only adds contention to the CPU-bound
-  /// stages. Any value produces the same analysis semantics byte for byte —
-  /// alarms, ranges, invariants, pack census, everything the report layer
-  /// prints — via deterministic slot ordering. Work-metering statistics
-  /// (octagon closures, evaluation counts) meter the execution strategy
-  /// itself and are outside that guarantee.
+  /// warn once — oversubscription only adds contention.
   unsigned Jobs = 1;
-
-  /// Dispatch of the within-file transfer sweeps (--pack-dispatch=
-  /// seq|groups, `@astral pack-dispatch`). Groups (the default) fans the
-  /// disjoint pack groups of the PackGroupPlan out over the scheduler;
-  /// Sequential keeps the historical single-chain path selectable for
-  /// differential benching. Both modes produce identical reports; with
-  /// Jobs == 1 there is no pool to fan out over and Groups degrades to the
-  /// sequential chain.
-  PackDispatchMode PackDispatch = PackDispatchMode::Groups;
-
-  /// Dispatch of the Iterator's per-partition loops (--partition-dispatch=
-  /// seq|par, `@astral partition-dispatch`). Parallel (the default) fans
-  /// trace partitions out over the scheduler inside `@astral partition`
-  /// functions; Sequential keeps the historical single-thread path
-  /// selectable for differential benching. Both modes produce identical
-  /// reports; with Jobs == 1 there is no pool and Parallel degrades to the
-  /// sequential loop.
-  PartitionDispatchMode PartitionDispatch = PartitionDispatchMode::Parallel;
-
-  /// Dispatch of the Iterator's per-partition call inlinings
-  /// (--call-dispatch=seq|par, `@astral call-dispatch`). Parallel (the
-  /// default) fans the independent call contexts of a multi-env call site
-  /// out over the scheduler; Sequential keeps the historical loop
-  /// selectable for differential benching. Both modes produce identical
-  /// reports; with Jobs == 1 there is no pool and Parallel degrades to the
-  /// sequential loop.
-  CallDispatchMode CallDispatch = CallDispatchMode::Parallel;
 
   // -- Resource governance (deadlines + memory budgets) -------------------------
   /// Wall-clock deadline for the abstract-execution phase, in milliseconds;
@@ -179,9 +116,9 @@ struct AnalyzerOptions {
   uint64_t DeadlineMs = 0;
 
   /// Abstract-state byte budget checked against the session's deterministic
-  /// memtrack live figure at master-thread sequential points (never wall
-  /// clock, never worker-local state — that is what keeps budget outcomes
-  /// byte-identical across the jobs x dispatch matrix); 0 = none. The
+  /// memtrack live figure at the top-level fixpoint heads (never wall
+  /// clock — that is what keeps budget outcomes byte-identical across runs
+  /// and --jobs values); 0 = none. The
   /// --memory-budget-mb flag sets this in whole MiB; tests set bytes
   /// directly for precise trigger points.
   uint64_t MemoryBudgetBytes = 0;

@@ -9,7 +9,6 @@
 
 #include "support/Cancellation.h"
 #include "support/FaultInjection.h"
-#include "support/MemoryTracker.h"
 
 #include <algorithm>
 #include <atomic>
@@ -19,29 +18,11 @@ using namespace astral;
 
 Scheduler::~Scheduler() = default;
 
-//===----------------------------------------------------------------------===//
-// Ambient scheduler
-//===----------------------------------------------------------------------===//
-
-namespace {
-thread_local Scheduler *AmbientScheduler = nullptr;
-} // namespace
-
-Scheduler *Scheduler::ambient() { return AmbientScheduler; }
-
 namespace {
 /// Set while the current thread executes tasks of some pool batch; nested
 /// parallelFor calls on this thread run inline instead of re-submitting.
 thread_local bool InsidePoolTask = false;
 } // namespace
-
-bool Scheduler::inWorkerTask() { return InsidePoolTask; }
-
-SchedulerScope::SchedulerScope(Scheduler *S) : Prev(AmbientScheduler) {
-  AmbientScheduler = S;
-}
-
-SchedulerScope::~SchedulerScope() { AmbientScheduler = Prev; }
 
 static unsigned hardwareThreads() {
   return std::max(1u, std::thread::hardware_concurrency());
@@ -72,23 +53,6 @@ std::shared_ptr<Scheduler> Scheduler::create(unsigned Jobs) {
   return std::make_shared<ThreadPoolScheduler>(N);
 }
 
-bool Scheduler::wouldFanOut(size_t NumGroups) {
-  Scheduler *S = ambient();
-  // A worker's nested parallelFor runs inline anyway; skip the staging.
-  return NumGroups >= 2 && S && S->concurrency() > 1 && !inWorkerTask();
-}
-
-bool Scheduler::runGroups(size_t NumGroups,
-                          const std::function<void(size_t)> &F) {
-  if (wouldFanOut(NumGroups)) {
-    ambient()->parallelFor(NumGroups, F);
-    return true;
-  }
-  for (size_t I = 0; I < NumGroups; ++I)
-    F(I);
-  return false;
-}
-
 //===----------------------------------------------------------------------===//
 // SequentialScheduler
 //===----------------------------------------------------------------------===//
@@ -108,15 +72,11 @@ void SequentialScheduler::parallelFor(size_t N,
 struct ThreadPoolScheduler::Batch {
   size_t N = 0;
   const std::function<void(size_t)> *F = nullptr;
-  /// The submitting thread's ambient per-session memory counter: workers
-  /// running this batch's tasks re-install it, so a session's fanned-out
-  /// abstract-state allocations meter into the session's own counter
-  /// rather than whichever session a worker last served.
-  memtrack::Counter *Mem = nullptr;
-  /// The submitting thread's ambient cancellation token, propagated to the
-  /// workers the same way as Mem: every claimed task polls it first, so a
-  /// cancelled or deadline-expired batch stops fanning out promptly instead
-  /// of running its remaining tasks to completion.
+  /// The submitting thread's ambient cancellation token, re-installed on
+  /// every worker running this batch: every claimed task polls it first, so
+  /// a cancelled or deadline-expired batch stops promptly instead of
+  /// running its remaining tasks to completion. (No memory counter travels
+  /// with the batch: each task is a whole session, which installs its own.)
   cancel::Token *Cancel = nullptr;
 
   std::atomic<size_t> Next{0};    ///< Next unclaimed index.
@@ -151,7 +111,6 @@ ThreadPoolScheduler::~ThreadPoolScheduler() {
 void ThreadPoolScheduler::runTasks(Batch &B) {
   bool SavedInside = InsidePoolTask;
   InsidePoolTask = true;
-  memtrack::CounterScope MemScope(B.Mem);
   cancel::TokenScope CancelScope(B.Cancel);
   for (;;) {
     size_t I = B.Next.fetch_add(1, std::memory_order_relaxed);
@@ -216,7 +175,6 @@ void ThreadPoolScheduler::parallelFor(size_t N,
   auto B = std::make_shared<Batch>();
   B->N = N;
   B->F = &F;
-  B->Mem = memtrack::currentCounter();
   B->Cancel = cancel::currentToken();
   {
     std::lock_guard<std::mutex> L(Mu);

@@ -12,16 +12,17 @@
 /// threads. Two implementations:
 ///
 ///   - SequentialScheduler: runs tasks inline, in index order. The default.
-///   - ThreadPoolScheduler: a persistent worker pool, reused across analysis
-///     phases and across the files of a batch. The submitting thread
+///   - ThreadPoolScheduler: a persistent worker pool, reused across the
+///     files of a batch and the drains of the serve daemon. The submitting
+///     thread
 ///     participates in the batch, so parallelFor(N, F) never deadlocks even
 ///     when the pool is saturated.
 ///
 /// Scheduler contract (what makes `--jobs=N` byte-identical to sequential):
 ///   - Tasks of one parallelFor must be independent: they may not mutate
-///     shared state except through thread-safe sinks (Statistics,
-///     MemoryTracker, atomic counters), and each task's result must depend
-///     only on its index and on state that is read-only for the whole call.
+///     shared state except through thread-safe sinks (atomic counters,
+///     mutex-guarded caches), and each task's result must depend only on
+///     its index and on state that is read-only for the whole call.
 ///   - parallelFor returns only after every task completed. It makes no
 ///     ordering promise *during* the call; callers that need deterministic
 ///     output apply per-index results in index order afterwards.
@@ -30,11 +31,10 @@
 ///   - Nested parallelFor (a task submitting to its own pool) runs inline on
 ///     the calling worker — no deadlock, same results.
 ///
-/// The ambient scheduler is a per-thread slot (SchedulerScope) consulted by
-/// the hot lattice loops (AbstractEnv join/widen/narrow/leq, Transfer's
-/// per-(domain, pack) reduction stages), so the deep call paths need no
-/// plumbed-through parameter. Worker threads have no ambient scheduler:
-/// nested lattice operations run sequentially inline.
+/// Scope (what `--jobs` sizes): one file is always analysed on one thread.
+/// The pool schedules whole files — AnalysisSession::analyzeBatch and the
+/// serve daemon's RequestQueue — never work inside one file, so nothing in
+/// the analysis itself consults a scheduler.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,23 +62,13 @@ public:
   /// done. See the file comment for the independence/determinism contract.
   virtual void parallelFor(size_t N, const std::function<void(size_t)> &F) = 0;
 
-  /// The scheduler installed for the current thread by a SchedulerScope, or
-  /// null (callers then run inline).
-  static Scheduler *ambient();
-
-  /// Whether the current thread is executing a ThreadPoolScheduler task.
-  /// Code that would install an ambient scheduler checks this first: a
-  /// worker's nested parallelFor runs inline anyway, so staging work for
-  /// it is pure overhead.
-  static bool inWorkerTask();
-
   /// Resolves a --jobs request to the concurrency create() will use:
   /// 0 means "one worker per hardware thread"
   /// (std::thread::hardware_concurrency), everything is clamped to
   /// MaxThreads. Warns once per process on stderr when an explicit request
   /// oversubscribes the hardware — extra workers only add contention to the
-  /// CPU-bound analysis stages (the request is honored regardless: the
-  /// golden determinism suites deliberately run --jobs=8 on small hosts).
+  /// CPU-bound analyses (the request is honored regardless: the golden
+  /// determinism suites deliberately run --jobs=8 on small hosts).
   static unsigned effectiveJobs(unsigned Jobs);
 
   /// The warn condition of effectiveJobs: an explicit request above the
@@ -90,44 +80,10 @@ public:
   /// SequentialScheduler, > 1 -> ThreadPoolScheduler.
   static std::shared_ptr<Scheduler> create(unsigned Jobs);
 
-  /// Whether runGroups(\p NumGroups, ...) called right now would fan the
-  /// groups out concurrently: at least two groups, an ambient scheduler
-  /// with real concurrency, and not already inside a pool task (a worker's
-  /// nested parallelFor runs inline anyway). Dispatchers that must build
-  /// per-group state *before* fanning out (the Iterator's partition
-  /// workers) consult this so the eligibility test and the dispatch can
-  /// never disagree.
-  static bool wouldFanOut(size_t NumGroups);
-
-  /// Grouped fan-out for the pack-group and trace-partition dispatches:
-  /// runs F(0) .. F(NumGroups-1) — one independent work *group* each,
-  /// carrying its own state (environment snapshot, channel buffer, worker
-  /// iteration context) — through the ambient scheduler when wouldFanOut
-  /// holds, inline in index order otherwise. Callers apply the per-group
-  /// results in deterministic order afterwards, exactly as with
-  /// parallelFor slots. Returns whether the groups actually fanned out
-  /// (the work-metering census of the dispatch counters).
-  static bool runGroups(size_t NumGroups, const std::function<void(size_t)> &F);
-
   /// Upper bound on any pool's concurrency — a `@astral jobs` directive or
   /// --jobs flag cannot make the analyzer spawn an unbounded number of
   /// threads (std::thread construction failure would terminate).
   static constexpr unsigned MaxThreads = 256;
-};
-
-/// Installs \p S as the calling thread's ambient scheduler for the scope's
-/// lifetime (restores the previous one on exit). Passing null simply
-/// shadows any outer scope.
-class SchedulerScope {
-public:
-  explicit SchedulerScope(Scheduler *S);
-  ~SchedulerScope();
-
-  SchedulerScope(const SchedulerScope &) = delete;
-  SchedulerScope &operator=(const SchedulerScope &) = delete;
-
-private:
-  Scheduler *Prev;
 };
 
 /// Runs every task inline on the calling thread, in index order.
@@ -138,8 +94,8 @@ public:
 };
 
 /// A persistent pool of worker threads. Construction spawns the workers
-/// once; every parallelFor (from any phase, or from the batch driver)
-/// reuses them. Destruction joins the workers.
+/// once; every parallelFor (from the batch driver or the daemon's request
+/// queue) reuses them. Destruction joins the workers.
 class ThreadPoolScheduler final : public Scheduler {
 public:
   /// \p Threads is the total concurrency including the submitting thread;

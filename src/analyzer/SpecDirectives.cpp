@@ -116,47 +116,8 @@ astral::applySpecDirectives(const std::string &Source, AnalyzerOptions &Opts) {
           Opts.OctagonClosure = OctClosureMode::Incremental;
         else
           Malformed("octagon-closure", "<full|incremental>");
-      } else if (Kind == "pack-dispatch") {
-        // Transfer-sweep dispatch travels with the input like the closure
-        // discipline. Both modes produce identical reports (the grouped
-        // merge recomputes conflicting slots), so a checked-in spec cannot
-        // make a golden run diverge.
-        std::string ModeName;
-        Dir >> ModeName;
-        if (ModeName == "seq")
-          Opts.PackDispatch = PackDispatchMode::Sequential;
-        else if (ModeName == "groups")
-          Opts.PackDispatch = PackDispatchMode::Groups;
-        else
-          Malformed("pack-dispatch", "<seq|groups>");
-      } else if (Kind == "partition-dispatch") {
-        // Trace-partition dispatch travels with the input like the
-        // pack-dispatch mode. Both modes produce identical reports (the
-        // partition merge replays every worker effect in partition order),
-        // so a checked-in spec cannot make a golden run diverge.
-        std::string ModeName;
-        Dir >> ModeName;
-        if (ModeName == "seq")
-          Opts.PartitionDispatch = PartitionDispatchMode::Sequential;
-        else if (ModeName == "par")
-          Opts.PartitionDispatch = PartitionDispatchMode::Parallel;
-        else
-          Malformed("partition-dispatch", "<seq|par>");
-      } else if (Kind == "call-dispatch") {
-        // Call-context dispatch travels with the input like the
-        // partition-dispatch mode. Both modes produce identical reports
-        // (the call merge replays every worker effect in sequential call
-        // order), so a checked-in spec cannot make a golden run diverge.
-        std::string ModeName;
-        Dir >> ModeName;
-        if (ModeName == "seq")
-          Opts.CallDispatch = CallDispatchMode::Sequential;
-        else if (ModeName == "par")
-          Opts.CallDispatch = CallDispatchMode::Parallel;
-        else
-          Malformed("call-dispatch", "<seq|par>");
       } else if (Kind == "jobs") {
-        // Execution policy travels with the input (0 = one worker per
+        // Batch-pool width travels with the input (0 = one worker per
         // hardware thread). Reports stay byte-identical for any value, so a
         // checked-in spec cannot make a golden run diverge. Parsed signed:
         // istream happily wraps "-1" into an unsigned, which would request

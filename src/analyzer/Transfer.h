@@ -34,7 +34,6 @@
 #include "support/Statistics.h"
 
 #include <functional>
-#include <initializer_list>
 #include <map>
 #include <optional>
 
@@ -56,22 +55,12 @@ public:
            const DomainRegistry &Registry, const AnalyzerOptions &Opts,
            Statistics &Stats, AlarmSet &Alarms);
 
-  /// Worker clone for the trace-partition dispatch: shares the immutable
-  /// analysis inputs (program, layout, registry, options) and the
-  /// thread-safe Statistics sink, but binds alarms to \p WorkerAlarms — a
-  /// per-worker buffer the Iterator merges back in canonical partition
-  /// order — and copies the mutable per-run state (mode, frames, the
-  /// pack-usefulness flags, cached cell ranges) so the worker computes
-  /// byte-identically to the sequential loop without touching the parent.
-  Transfer(const Transfer &Parent, AlarmSet &WorkerAlarms);
-
   // -- Mode & frames (managed by the Iterator) ---------------------------
   bool Checking = false;
   /// Whether alarms may be reported right now: checking mode, and not
-  /// inside a silent evaluation (evalNoCheck or a scheduler slot task).
-  /// The silence marker is thread-local, so parallel slot stages never
-  /// race on a toggled member and never emit alarms in scheduler order.
-  bool checkingNow() const;
+  /// inside a silent evaluation (evalNoCheck and the domain evaluation
+  /// services).
+  bool checkingNow() const { return Checking && SilentDepth == 0; }
   /// Per-domain, per-pack flag: set when the pack's state actually
   /// tightened a cell interval or pruned a branch — the Sect. 7.2.2
   /// usefulness census ("whether each octagon actually improved the
@@ -85,8 +74,7 @@ public:
   /// record the read; shared-cell stores record the written interval.
   /// Recording is semantics, not checking — it happens regardless of mode or
   /// silent evaluation, and the recorder's joins are commutative and
-  /// idempotent, so speculative group-sweep workers re-recording the same
-  /// access is harmless.
+  /// idempotent, so re-recording the same access is harmless.
   const concurrency::ThreadContext *Conc = nullptr;
 
   const RefBinding *lookupBinding(ir::VarId V) const {
@@ -161,6 +149,7 @@ public:
 
 private:
   friend class TransferEvalContext;
+  friend struct SilentEval;
 
   Interval evalBinary(const AbstractEnv &Env, const ir::Expr *E,
                       const CellOverlay *Overlay);
@@ -193,17 +182,12 @@ private:
   /// Meets the channel's interval facts into the cell environment,
   /// records pack usefulness, drains statistics notes, and marks the
   /// environment bottom when the publishing domain proved it unreachable.
-  /// \p ChangedSink, when set, observes every cell the fold tightened (the
-  /// grouped merge's conflict detector).
   void applyChannel(AbstractEnv &Env, size_t D, memory::PackId P,
-                    const ReductionChannel &Ch,
-                    const std::function<void(CellId)> *ChangedSink = nullptr);
+                    const ReductionChannel &Ch);
 
-  // -- Pack-group parallel transfer dispatch -------------------------------
   /// Outcome of one channel-feeding pack sweep over one registered domain.
-  /// Callers translate BottomState/BottomEnv into the exact bottom value
-  /// the historical sequential chain returned (a fresh bottom environment
-  /// vs. the in-place marked one).
+  /// Callers translate BottomState/BottomEnv into the bottom value they
+  /// return (a fresh bottom environment vs. the in-place marked one).
   enum class SweepResult : uint8_t { Ok, BottomState, BottomEnv };
 
   /// One pack's transfer under the sweep's shared request: returns the new
@@ -212,46 +196,13 @@ private:
       const DomainState &, const DomainEvalContext &, ReductionChannel &)>;
 
   /// Runs one domain's channel-feeding reduction sweep over \p Touched
-  /// packs (sorted, unique). With --pack-dispatch=groups and an ambient
-  /// parallel scheduler, the packs are partitioned by the domain's
-  /// PackGroupPlan and whole groups fan out as workers: each worker runs
-  /// its group's chain sequentially against a snapshot of the pre-sweep
-  /// environment, buffering new states and channels. The deterministic
-  /// merge then replays the buffers onto the real environment in the
-  /// sequential slot order; a group whose snapshot was invalidated — an
-  /// earlier slot of *another* group tightened a cell of \p ReadExprs /
-  /// \p ReadForms (everything the shared request may read) — is recomputed
-  /// in place, so the final environment, alarms and reports are
-  /// byte-identical to the sequential chain in every case, not only for
-  /// truly disjoint groups. Singleton or degenerate partitions (e.g. every
-  /// assignment sweep: all touched packs share the target cell) take the
-  /// plain sequential chain directly.
+  /// packs (sorted, unique), in slot order. The sweep is a *reduction
+  /// chain*: each pack evaluates under the cells already refined by the
+  /// channels of the packs before it, and that feed carries measurable
+  /// precision on the program family (overlapping octagon packs).
   SweepResult runPackSweep(AbstractEnv &Env, size_t D,
                            const std::vector<memory::PackId> &Touched,
-                           const SweepOp &Op, bool StopOnBottom,
-                           std::initializer_list<const ir::Expr *> ReadExprs,
-                           std::initializer_list<const LinearForm *> ReadForms);
-
-  /// The cells the sweep's evaluations may read from the environment: every
-  /// load-reachable cell of the request expressions (weak selections
-  /// contribute their whole range, subscripts recurse) plus the linear-form
-  /// terms. Sorted and unique — the grouped merge's conflict-detection
-  /// domain.
-  std::vector<CellId>
-  collectSweepReadSet(const AbstractEnv &Env,
-                      std::initializer_list<const ir::Expr *> Exprs,
-                      std::initializer_list<const LinearForm *> Forms);
-
-  /// Runs \p Task(0..N-1) — one registered-domain pack slot each — through
-  /// the ambient Scheduler when one is installed, inline otherwise. Tasks
-  /// run silenced (no alarms) in both modes, must read the environment
-  /// only, and write only their own slot's output; callers then apply the
-  /// per-slot results in slot order, which is what keeps `--jobs=N`
-  /// byte-identical to sequential. Only order-independent sweeps
-  /// (relationalForget, preJoinReduce) use it — the channel-feeding
-  /// reduction chains go through runPackSweep, whose unit of parallelism
-  /// is the PackGroupPlan group, not the slot.
-  void runSlotStage(size_t N, const std::function<void(size_t)> &Task);
+                           const SweepOp &Op, bool StopOnBottom);
 
   const ir::Program &P;
   const memory::CellLayout &Layout;
@@ -261,6 +212,9 @@ private:
   AlarmSet &Alarms;
   std::vector<Interval> CellRange;    ///< Machine range per cell.
   std::vector<Interval> VolatileRng;  ///< Input range per volatile cell.
+  /// Depth of nested silent evaluations (SilentEval); alarms are reported
+  /// only at depth 0.
+  unsigned SilentDepth = 0;
 };
 
 } // namespace astral

@@ -8,7 +8,6 @@
 #include "concurrency/ConcurrentAnalysis.h"
 
 #include "analyzer/Iterator.h"
-#include "analyzer/Scheduler.h"
 #include "support/Cancellation.h"
 
 #include <set>
@@ -35,8 +34,6 @@ struct ThreadRun {
   AbstractEnv Final = AbstractEnv::bottom();
   std::map<uint32_t, AbstractEnv> Invariants;
   std::vector<std::vector<uint8_t>> RelImproved;
-  size_t MaxWidth = 0;
-  size_t MaxCallW = 0;
   ThreadInterference Recorded;
 };
 
@@ -88,8 +85,6 @@ ConcurrentResult ConcurrentAnalysis::run() {
   AbstractEnv E0 = Startup.run();
   R.LoopInvariants = Startup.loopInvariants();
   R.RelPackImproved = Startup.transfer().RelPackImproved;
-  R.MaxPartitionWidth = Startup.maxPartitionDispatchWidth();
-  R.MaxCallWidth = Startup.maxCallDispatchWidth();
 
   // Relational packs are thread-local under interference semantics; sever
   // the startup state's facts about shared cells so no stale relation
@@ -105,19 +100,16 @@ ConcurrentResult ConcurrentAnalysis::run() {
   std::vector<ThreadRun> FinalRuns;
 
   for (unsigned Round = 1;; ++Round) {
-    // Round boundary: the interference analysis's cancellation choke point.
-    // Runs on the master thread between fan-outs, so the budget poll here
-    // reads a deterministic live figure (same discipline as the fixpoint
-    // heads — see support/Cancellation.h).
+    // Round boundary: the interference analysis's cancellation choke point
+    // (the per-thread iterators never poll the budget themselves — see
+    // support/Cancellation.h).
     cancel::poll();
     cancel::pollBudget();
     std::vector<ThreadRun> Runs(N);
-    // The fourth parallel grain: per-thread analyses of one round are
-    // independent (each reads the round's snapshot map and E0, writes only
-    // its own ThreadRun), so they fan out over the ambient Scheduler.
-    // Every merge below runs in thread-declaration order, so reports are
-    // byte-identical whether or not the fan-out happened.
-    bool FannedOut = Scheduler::runGroups(N, [&](size_t T) {
+    // Per-thread analyses of one round are independent: each reads the
+    // round's snapshot map and E0 and writes only its own ThreadRun. They
+    // run in thread-declaration order, and every merge below does too.
+    for (size_t T = 0; T < N; ++T) {
       ThreadRun &TR = Runs[T];
       InterferenceRecorder Rec;
       ThreadContext Ctx;
@@ -130,12 +122,8 @@ ConcurrentResult ConcurrentAnalysis::run() {
       TR.Final = It.runThread(Threads[T].Fn, E0);
       TR.Invariants = It.loopInvariants();
       TR.RelImproved = It.transfer().RelPackImproved;
-      TR.MaxWidth = It.maxPartitionDispatchWidth();
-      TR.MaxCallW = It.maxCallDispatchWidth();
       TR.Recorded = Rec.take();
-    });
-    if (FannedOut)
-      Stats.add("parallel.thread_rounds_dispatched");
+    }
 
     if (Round == 1)
       for (size_t T = 0; T < N; ++T)
@@ -253,11 +241,6 @@ ConcurrentResult ConcurrentAnalysis::run() {
     for (size_t D = 0; D < R.RelPackImproved.size(); ++D)
       for (size_t Pk = 0; Pk < R.RelPackImproved[D].size(); ++Pk)
         R.RelPackImproved[D][Pk] |= FinalRuns[T].RelImproved[D][Pk];
-
-  for (size_t T = 0; T < N; ++T) {
-    R.MaxPartitionWidth = std::max(R.MaxPartitionWidth, FinalRuns[T].MaxWidth);
-    R.MaxCallWidth = std::max(R.MaxCallWidth, FinalRuns[T].MaxCallW);
-  }
 
   return R;
 }

@@ -21,10 +21,8 @@
 ///      converged round's per-thread results — computed *against* the
 ///      fixpoint map — are the final ones.
 ///
-/// Per-thread analyses of one round are independent, so they fan out over
-/// the ambient Scheduler (the analyzer's fourth parallel grain); every merge
-/// is in thread-declaration order, keeping reports byte-identical across
-/// --jobs and both dispatch modes.
+/// Per-thread analyses of one round are independent; they run, and merge,
+/// in thread-declaration order.
 ///
 /// On top of the fixpoint, two derived alarm classes:
 ///   - data races: a shared cell written by one thread and accessed
@@ -71,8 +69,6 @@ struct ConcurrentResult {
   /// True when the round cap fired before the map stabilized (never on sane
   /// inputs; surfaced as `concurrency.rounds_capped`).
   bool Capped = false;
-  size_t MaxPartitionWidth = 0;
-  size_t MaxCallWidth = 0;
 };
 
 class ConcurrentAnalysis {

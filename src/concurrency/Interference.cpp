@@ -115,7 +115,6 @@ void InterferenceRecorder::recordRead(memory::CellId C, uint32_t Point,
   A.Read = true;
   A.ReadPoint = Point;
   A.ReadLoc = Loc;
-  std::lock_guard<std::mutex> L(Mu);
   auto [It, Inserted] = Rec.try_emplace(C, A);
   if (!Inserted)
     It->second.joinInPlace(A);
@@ -128,14 +127,12 @@ void InterferenceRecorder::recordWrite(memory::CellId C, const Interval &V,
   A.Writes = V;
   A.WritePoint = Point;
   A.WriteLoc = Loc;
-  std::lock_guard<std::mutex> L(Mu);
   auto [It, Inserted] = Rec.try_emplace(C, A);
   if (!Inserted)
     It->second.joinInPlace(A);
 }
 
 ThreadInterference InterferenceRecorder::take() {
-  std::lock_guard<std::mutex> L(Mu);
   ThreadInterference Out;
   Out.swap(Rec);
   return Out;

@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <vector>
 
 namespace astral {
@@ -39,8 +38,7 @@ namespace concurrency {
 
 /// One thread's accumulated accesses to one shared cell. The alarm anchors
 /// keep the *smallest* (point, location) that performed the access, so the
-/// data-race report is independent of the order recordings arrive in (trace
-/// partitions of one thread record concurrently).
+/// data-race report is independent of the order recordings arrive in.
 struct ThreadAccess {
   bool Read = false;
   bool Written = false;
@@ -66,7 +64,7 @@ using ThreadInterference = std::map<memory::CellId, ThreadAccess>;
 /// The interference map: one ThreadInterference per declared thread. All
 /// mutation is monotone (join), so iterating per-thread analyses against a
 /// snapshot and folding their recordings back reaches the same fixpoint in
-/// any schedule — what keeps reports byte-identical across --jobs.
+/// any order.
 class InterferenceMap {
 public:
   explicit InterferenceMap(size_t NumThreads) : Threads(NumThreads) {}
@@ -99,9 +97,8 @@ private:
   std::vector<ThreadInterference> Threads;
 };
 
-/// Mutex-guarded recording sink for one thread's analysis run. Partition
-/// workers of the same thread record concurrently; joins are commutative and
-/// idempotent, so the accumulated result is schedule-independent.
+/// Recording sink for one thread's analysis run. Joins are commutative and
+/// idempotent, so the accumulated result is order-independent.
 class InterferenceRecorder {
 public:
   void recordRead(memory::CellId C, uint32_t Point, SourceLocation Loc);
@@ -112,7 +109,6 @@ public:
   ThreadInterference take();
 
 private:
-  std::mutex Mu;
   ThreadInterference Rec;
 };
 

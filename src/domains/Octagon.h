@@ -67,8 +67,8 @@ enum class OctClosureMode : uint8_t {
 /// Per-session closure work meter, shared by every octagon of one analysis
 /// (the DomainRegistry hands one sink to all the states it creates, so
 /// batch runs no longer read each other's counts through a process-wide
-/// atomic). Thread-safe: parallel lattice stages close pack copies
-/// concurrently.
+/// atomic). The counters are atomic, so the sink stays safe to share
+/// beyond the session's own thread.
 struct OctagonClosureStats {
   std::atomic<uint64_t> Full{0};        ///< Full Floyd-Warshall sweeps.
   std::atomic<uint64_t> Incremental{0}; ///< Dirty-row/column propagations.

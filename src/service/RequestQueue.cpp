@@ -193,7 +193,6 @@ void RequestQueue::runJobs(std::vector<std::unique_ptr<Job>> Jobs) {
     const std::string PackKey = AnalysisSession::packingCacheKey(In);
 
     AnalysisSession S(In);
-    S.setScheduler(Pool);
     // Per-item token: the request's absolute deadline is shared (every
     // file of the request expires together), the byte budget is armed by
     // the session against its own meter. One token per item because

@@ -15,9 +15,8 @@
 /// coarse-grained whole-file dispatch AnalysisSession::analyzeBatch uses,
 /// extended across concurrent requests. Each item is its own
 /// AnalysisSession (per-session registry and meters), optionally seeded
-/// from the ArtifactCache; the session's finer parallel grains run inline
-/// on its worker, so one pool serves every granularity without
-/// oversubscription.
+/// from the ArtifactCache, and runs start to finish on the one worker that
+/// claimed it.
 ///
 /// Cache accounting is per-job: the outcome carries the hit/miss deltas of
 /// exactly this request's items, which is what lets a client prove "the

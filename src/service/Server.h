@@ -51,7 +51,8 @@ struct ServerConfig {
   std::string SocketPath;
   /// Worker threads of the shared pool (0 = one per hardware thread, the
   /// Scheduler::effectiveJobs convention). Per-request --jobs values do not
-  /// resize the daemon's pool; they only shape the within-file dispatch.
+  /// resize the daemon's pool, and every file runs on one of its threads,
+  /// so they change nothing at all.
   unsigned Jobs = 0;
   size_t CacheEntries = 64;
   bool Verbose = true;

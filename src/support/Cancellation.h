@@ -10,22 +10,21 @@
 /// three ways a run may be asked to stop early — an explicit cancel flag, a
 /// wall-clock deadline, and an abstract-state byte budget read from the
 /// session's memtrack::Counter. The token is installed as a per-thread
-/// ambient (TokenScope), exactly like the Scheduler's CounterScope, and the
+/// ambient (TokenScope), exactly like memtrack's CounterScope, and the
 /// Scheduler re-installs the submitting thread's token on every pool worker
-/// running that batch's tasks — so the deep analysis loops need no
-/// plumbed-through parameter.
+/// running that batch's tasks — so a cancelled batch stops at its next task
+/// boundary, and the deep analysis loops need no plumbed-through parameter.
 ///
 /// Polling discipline (what keeps degraded reports deterministic):
-///  - poll() checks the flag and the wall clock. It may run anywhere — on
-///    workers, inside partition clones — because a cancelled or expired run
-///    only has to unwind, not to reproduce: timeout outcomes are never
-///    byte-compared.
-///  - pollBudget() checks the deterministic byte meter. It must run ONLY at
-///    master-thread sequential points (the Iterator's fixpoint heads outside
-///    collect mode, the ConcurrentAnalysis round heads), where liveBytes()
-///    is a function of the analysis alone, not of thread timing — that is
-///    what makes budget-degraded reports byte-identical across the
-///    jobs x dispatch matrix.
+///  - poll() checks the flag and the wall clock. It may run anywhere,
+///    because a cancelled or expired run only has to unwind, not to
+///    reproduce: timeout outcomes are never byte-compared.
+///  - pollBudget() checks the deterministic byte meter. It runs only at the
+///    sites the degradation ladder is pinned against — the Iterator's
+///    top-level fixpoint heads and the ConcurrentAnalysis round heads —
+///    where liveBytes() is a function of the analysis alone. A session runs
+///    on one thread, so budget-degraded reports are byte-identical across
+///    runs and --jobs values.
 ///
 /// Both polls unwind via AnalysisCancelled, a typed exception carrying the
 /// reason; AnalysisSession turns OverBudget into the degradation ladder and
@@ -126,7 +125,7 @@ Token *currentToken();
 
 /// Installs \p T as the calling thread's ambient token for the scope's
 /// lifetime (restores the previous one on exit). Passing null shadows any
-/// outer scope — the same convention as SchedulerScope/CounterScope.
+/// outer scope — the same convention as memtrack's CounterScope.
 class TokenScope {
 public:
   explicit TokenScope(Token *T);

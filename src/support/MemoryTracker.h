@@ -15,77 +15,63 @@
 ///
 /// The meters are per-session Counters: an AnalysisSession installs its own
 /// Counter as the calling thread's ambient sink (CounterScope) for the
-/// duration of its analysis phases, and the Scheduler re-installs the
-/// submitting thread's ambient counter on every pool worker that runs the
-/// session's tasks. Concurrent sessions (analyzeBatch files, daemon
-/// requests) therefore meter their own abstract-state bytes instead of
-/// reading one process-wide high-water mark through each other. There is
-/// no process-wide figure: allocations made with no ambient counter
-/// installed are not metered, and a test that wants to observe them
-/// installs a local Counter.
+/// duration of its analysis phases. One session always runs on one thread
+/// (the Scheduler only ever schedules whole files), so a Counter is touched
+/// by exactly one thread at a time and needs no atomics: the hot-path
+/// noteAlloc/noteFree are an inline thread-local load plus two plain adds.
+/// Concurrent sessions (analyzeBatch files, daemon requests) meter their own
+/// abstract-state bytes on their own threads. There is no process-wide
+/// figure: allocations made with no ambient counter installed are not
+/// metered, and a test that wants to observe them installs a local Counter.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ASTRAL_SUPPORT_MEMORYTRACKER_H
 #define ASTRAL_SUPPORT_MEMORYTRACKER_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
 namespace astral {
 namespace memtrack {
 
-/// One session's abstract-state byte meter. Thread-safe: pool workers
-/// running the session's tasks feed the same counter. Live accounting is
-/// signed internally — a session may free structures it adopted rather than
-/// allocated (shared artifacts), so transient negative live figures clamp
-/// to zero instead of wrapping.
+/// One session's abstract-state byte meter. Single-threaded: only the
+/// thread running the session touches it. Live accounting is signed — a
+/// session may free structures it adopted rather than allocated (shared
+/// artifacts), so transient negative live figures clamp to zero instead of
+/// wrapping.
 class Counter {
 public:
   void noteAlloc(size_t Bytes) {
-    int64_t Now =
-        Live.fetch_add(int64_t(Bytes), std::memory_order_relaxed) +
-        int64_t(Bytes);
-    int64_t Old = Peak.load(std::memory_order_relaxed);
-    while (Now > Old &&
-           !Peak.compare_exchange_weak(Old, Now, std::memory_order_relaxed)) {
-    }
+    Live += int64_t(Bytes);
+    if (Live > Peak)
+      Peak = Live;
   }
-  void noteFree(size_t Bytes) {
-    Live.fetch_sub(int64_t(Bytes), std::memory_order_relaxed);
-  }
-  size_t liveBytes() const {
-    int64_t V = Live.load(std::memory_order_relaxed);
-    return V > 0 ? size_t(V) : 0;
-  }
-  size_t peakBytes() const {
-    int64_t V = Peak.load(std::memory_order_relaxed);
-    return V > 0 ? size_t(V) : 0;
-  }
+  void noteFree(size_t Bytes) { Live -= int64_t(Bytes); }
+  size_t liveBytes() const { return Live > 0 ? size_t(Live) : 0; }
+  size_t peakBytes() const { return Peak > 0 ? size_t(Peak) : 0; }
   /// Resets the high-water mark to the current live figure.
-  void resetPeak() {
-    Peak.store(Live.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-  }
+  void resetPeak() { Peak = Live; }
 
 private:
-  std::atomic<int64_t> Live{0};
-  std::atomic<int64_t> Peak{0};
+  int64_t Live = 0;
+  int64_t Peak = 0;
 };
 
-/// The calling thread's ambient per-session counter, or null.
-Counter *currentCounter();
+namespace detail {
+/// The calling thread's ambient counter, or null. constinit keeps the
+/// thread_local access a plain TLS load (no lazy-initialization guard).
+inline constinit thread_local Counter *Ambient = nullptr;
+} // namespace detail
 
 /// Installs \p C as the calling thread's ambient counter for the scope's
-/// lifetime (restores the previous one on exit). The Scheduler captures the
-/// submitter's ambient counter per batch and installs it on every worker
-/// running that batch's tasks, so a session's fan-out work meters into the
-/// session's own counter.
+/// lifetime (restores the previous one on exit).
 class CounterScope {
 public:
-  explicit CounterScope(Counter *C);
-  ~CounterScope();
+  explicit CounterScope(Counter *C) : Prev(detail::Ambient) {
+    detail::Ambient = C;
+  }
+  ~CounterScope() { detail::Ambient = Prev; }
 
   CounterScope(const CounterScope &) = delete;
   CounterScope &operator=(const CounterScope &) = delete;
@@ -96,9 +82,15 @@ private:
 
 /// Records an allocation of \p Bytes owned by abstract state into the
 /// ambient counter, when one is installed.
-void noteAlloc(size_t Bytes);
+inline void noteAlloc(size_t Bytes) {
+  if (Counter *C = detail::Ambient)
+    C->noteAlloc(Bytes);
+}
 /// Records a deallocation of \p Bytes owned by abstract state.
-void noteFree(size_t Bytes);
+inline void noteFree(size_t Bytes) {
+  if (Counter *C = detail::Ambient)
+    C->noteFree(Bytes);
+}
 
 } // namespace memtrack
 } // namespace astral

@@ -13,11 +13,9 @@
 /// per-run, not global, so benches and batch analyses can run many analyses
 /// and compare counters side by side without cross-contamination.
 ///
-/// Accumulation is thread-safe: scheduler tasks (parallel lattice slots,
-/// per-pack reduction stages) bump counters concurrently. Because every
-/// mutation is a commutative add (or an idempotent set outside the parallel
-/// phases), totals are independent of task interleaving — a requirement of
-/// the `--jobs=N` determinism guarantee.
+/// Accumulation is mutex-guarded, so a registry may be read from another
+/// thread than the one running its session. One session runs on one
+/// thread, so its totals never depend on `--jobs`.
 ///
 //===----------------------------------------------------------------------===//
 

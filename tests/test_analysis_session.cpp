@@ -136,15 +136,29 @@ TEST(AnalysisSession, FrontendFailureDegradesGracefully) {
 }
 
 TEST(AnalysisSession, JobsAreByteDeterministic) {
+  // One file always runs on one thread, so --jobs changes neither the
+  // report nor any work counter: the statistics must match key for key,
+  // except the wall-clock `_ms` timings.
+  auto CountersOf = [](const AnalysisResult &R) {
+    std::map<std::string, uint64_t> All = R.Stats.all();
+    for (auto It = All.begin(); It != All.end();) {
+      const std::string &K = It->first;
+      bool IsMs = K.size() >= 3 && K.compare(K.size() - 3, 3, "_ms") == 0;
+      It = IsMs ? All.erase(It) : std::next(It);
+    }
+    return All;
+  };
   AnalysisInput Seq = limiterInput();
   Seq.Options.Jobs = 1;
   AnalysisResult RSeq = Analyzer::analyze(Seq);
+  EXPECT_GT(RSeq.Stats.get("fixpoint.iterations"), 0u);
 
   for (unsigned Jobs : {2u, 8u}) {
     AnalysisInput Par = limiterInput();
     Par.Options.Jobs = Jobs;
     AnalysisResult RPar = Analyzer::analyze(Par);
     expectSameReport(RSeq, RPar);
+    EXPECT_EQ(CountersOf(RPar), CountersOf(RSeq)) << "jobs=" << Jobs;
   }
 }
 

@@ -1,23 +1,17 @@
-//===- tests/test_call_dispatch.cpp - Call-context dispatch -----------------===//
+//===- tests/test_call_dispatch.cpp - Call contexts -------------------------===//
 //
 // Part of ASTRAL, a reproduction of "A Static Analyzer for Large
-// Safety-Critical Software" (PLDI 2003). Tests the call-context parallel
-// grain — per-context dispatch of inlined callee bodies at call sites
-// reached from a multi-environment disjunction:
+// Safety-Critical Software" (PLDI 2003). Tests context-sensitive call
+// inlining (Sect. 5.4) at call sites reached from a multi-environment
+// disjunction, with hand-pinned values:
 //
-//   - --call-dispatch=par must produce reports bitwise identical to the
-//     sequential per-context loop, at every --jobs value and across the
-//     pack-dispatch and partition-dispatch modes, on randomized call trees
-//     with reference parameters and partitioned callees, and on a callee
-//     whose input changes along the caller's widening sequence.
-//   - The call-context meter `iterator.calls_inlined` counts the same
-//     contexts whichever way they were dispatched.
-//   - MaxCallDepth prototype havoc stays byte-identical under par.
-//   - Budget degradation is byte-identical across call-dispatch modes: the
-//     Fixpoint budget poll is master-only (!CollectMode && CallDepth == 0),
-//     so a call-dispatch worker — a CollectMode clone running a CallDepth
-//     >= 1 fixpoint — must never poll, and the degradation ladder cannot
-//     depend on the dispatch mode.
+//   - A callee whose input changes along the caller's widening sequence
+//     still clamps the accumulator it returns.
+//   - MaxCallDepth prototype havoc forgets the return target, so assertions
+//     the fully inlined run proves can no longer be proved.
+//   - Budget degradation on a family member that inlines calls is
+//     byte-identical across --jobs: the Fixpoint budget poll runs only at
+//     top-level fixpoint heads (CallDepth == 0 && !T.Conc).
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
 #include <sstream>
 
 using namespace astral;
@@ -57,52 +50,10 @@ std::string fingerprint(const AnalysisResult &R) {
   return F.str();
 }
 
-/// The execution-policy matrix of one source around the call grain:
-/// sequential everything at --jobs=1 is the baseline every (jobs,
-/// call-dispatch, partition-dispatch, pack-dispatch) configuration must
-/// reproduce bitwise.
-void expectMatrixIdentical(
-    const std::string &Src,
-    const std::function<void(AnalyzerOptions &)> &Tweak = nullptr) {
-  auto Run = [&](unsigned Jobs, CallDispatchMode CMode,
-                 PartitionDispatchMode PMode, PackDispatchMode KMode) {
-    AnalysisResult R = analyzeSource(Src, [&](AnalyzerOptions &O) {
-      if (Tweak)
-        Tweak(O);
-      O.Jobs = Jobs;
-      O.CallDispatch = CMode;
-      O.PartitionDispatch = PMode;
-      O.PackDispatch = KMode;
-    });
-    // A frontend failure would make every configuration agree vacuously.
-    EXPECT_TRUE(R.FrontendOk) << R.FrontendErrors;
-    EXPECT_GT(R.Stats.get("iterator.calls_inlined"), 0u);
-    return fingerprint(R);
-  };
-  std::string Base =
-      Run(1, CallDispatchMode::Sequential, PartitionDispatchMode::Sequential,
-          PackDispatchMode::Sequential);
-  for (unsigned Jobs : {1u, 2u, 8u})
-    for (CallDispatchMode CMode :
-         {CallDispatchMode::Sequential, CallDispatchMode::Parallel})
-      for (PartitionDispatchMode PMode : {PartitionDispatchMode::Sequential,
-                                          PartitionDispatchMode::Parallel})
-        for (PackDispatchMode KMode :
-             {PackDispatchMode::Sequential, PackDispatchMode::Groups})
-          EXPECT_EQ(Run(Jobs, CMode, PMode, KMode), Base)
-              << "jobs=" << Jobs << " call-dispatch="
-              << (CMode == CallDispatchMode::Parallel ? "par" : "seq")
-              << " partition-dispatch="
-              << (PMode == PartitionDispatchMode::Parallel ? "par" : "seq")
-              << " pack-dispatch="
-              << (KMode == PackDispatchMode::Groups ? "groups" : "seq");
-}
-
 /// The partitioned_switch shape with the clamp extracted into a helper
-/// taking value AND reference parameters: the helper is inlined from the
-/// width-2 mode disjunction, so the call site is exactly where the call
-/// grain fans out. The alarm inside the callee and the loop invariant in
-/// the caller exercise the worker effect replay.
+/// taking value AND reference parameters: the helper is inlined once per
+/// environment of the width-2 mode disjunction (two call contexts at one
+/// call site).
 const char *PartitionedHelperSrc =
     "volatile int mode; volatile float meas;\n"
     "float out; float acc;\n"
@@ -138,134 +89,11 @@ void partitionedHelperTweak(AnalyzerOptions &O) {
 
 } // namespace
 
-//===----------------------------------------------------------------------===//
-// Parallel-vs-sequential bitwise equality
-//===----------------------------------------------------------------------===//
-
-TEST(CallDispatch, PartitionedHelperMatchesSequentialBitwise) {
-  expectMatrixIdentical(PartitionedHelperSrc, partitionedHelperTweak);
-}
-
-TEST(CallDispatch, DispatchActuallyFansOut) {
-  // Guards the grain against silent degeneration: with a parallel scheduler
-  // and a width-2 call-site disjunction, the parallel path must really run
-  // — the census is outside the byte-identity contract, but "it never
-  // triggers" would make the whole grain dead code.
-  AnalysisResult R =
-      analyzeSource(PartitionedHelperSrc, [](AnalyzerOptions &O) {
-        partitionedHelperTweak(O);
-        O.Jobs = 2;
-      });
-  ASSERT_TRUE(R.FrontendOk);
-  EXPECT_GT(R.Stats.get("call_dispatch.dispatched"), 0u);
-  EXPECT_GE(R.Stats.get("parallel.calls.max_width"), 2u);
-  EXPECT_EQ(R.Stats.get("parallel.call_dispatch_par"), 1u);
-  EXPECT_GT(R.Stats.get("iterator.calls_inlined"), 0u);
-
-  // The sequential mode never takes the parallel path.
-  AnalysisResult S =
-      analyzeSource(PartitionedHelperSrc, [](AnalyzerOptions &O) {
-        partitionedHelperTweak(O);
-        O.Jobs = 2;
-        O.CallDispatch = CallDispatchMode::Sequential;
-      });
-  EXPECT_EQ(S.Stats.get("call_dispatch.dispatched"), 0u);
-  EXPECT_EQ(S.Stats.get("parallel.calls.max_width"), 0u);
-  EXPECT_EQ(S.Stats.get("parallel.call_dispatch_par"), 0u);
-  EXPECT_EQ(fingerprint(S), fingerprint(R));
-
-  // Every call context is counted exactly once whichever thread inlined it,
-  // so the meter agrees across --jobs values and dispatch modes.
-  EXPECT_EQ(S.Stats.get("iterator.calls_inlined"),
-            R.Stats.get("iterator.calls_inlined"));
-  for (unsigned Jobs : {1u, 8u}) {
-    AnalysisResult J =
-        analyzeSource(PartitionedHelperSrc, [Jobs](AnalyzerOptions &O) {
-          partitionedHelperTweak(O);
-          O.Jobs = Jobs;
-        });
-    ASSERT_TRUE(J.FrontendOk);
-    EXPECT_EQ(J.Stats.get("iterator.calls_inlined"),
-              R.Stats.get("iterator.calls_inlined"))
-        << "jobs=" << Jobs;
-  }
-}
-
-TEST(CallDispatch, RandomizedCallTreesMatchSequentialBitwise) {
-  // Randomized call trees: a chain of callees — some partitioned, so call
-  // sites inside them see multi-environment disjunctions — with value and
-  // reference parameters, mode switches, loops and early returns mixed in
-  // per seed. Every shape must reproduce the sequential report bitwise
-  // across the whole matrix.
-  for (unsigned Seed = 1; Seed <= 4; ++Seed) {
-    std::mt19937 Rng(Seed);
-    unsigned Depth = 2 + Seed % 2; // 2-3 nested callees
-    // Callees are generated outermost first but emitted innermost first:
-    // the frontend requires a function to be declared before its call.
-    std::vector<std::string> Funcs;
-    for (unsigned L = 0; L < Depth; ++L) {
-      std::ostringstream Src;
-      unsigned Ifs = 1 + Rng() % 3;
-      // Leaf takes a reference parameter it writes through; inner levels
-      // pass the global accumulator down by address.
-      if (L + 1 == Depth)
-        Src << "float f" << L << "(float s, float *o) {\n"
-            << "  float t; float u;\n  t = s;\n";
-      else
-        Src << "float f" << L << "(float s) {\n"
-            << "  float t; float u;\n  t = s;\n";
-      for (unsigned I = 0; I < Ifs; ++I) {
-        double Inc = 1.0 + (Rng() % 5);
-        Src << "  if (sel > " << (Rng() % 4) << ") { t = t + " << Inc
-            << "f; } else { t = t - " << Inc << "f; }\n";
-      }
-      if (L + 1 < Depth) {
-        if (L + 2 == Depth)
-          Src << "  u = f" << (L + 1) << "(t, &z);\n";
-        else
-          Src << "  u = f" << (L + 1) << "(t);\n";
-      } else {
-        Src << "  *o = *o + 0.0f;\n  u = in;\n";
-      }
-      if (Rng() % 2) {
-        Src << "  int i; i = 0;\n  while (i < 3) {\n    i = i + 1;\n"
-            << "    if (u > 20.0f) { break; }\n    u = u + t;\n  }\n";
-      }
-      if (Rng() % 2)
-        Src << "  if (sel == 0) { return t; }\n";
-      Src << "  return t + u * 0.0f;\n}\n";
-      Funcs.push_back(Src.str());
-    }
-    std::ostringstream Src;
-    Src << "volatile int sel; volatile float in;\n"
-        << "float y; float z;\n";
-    for (auto F = Funcs.rbegin(); F != Funcs.rend(); ++F)
-      Src << *F;
-    Src << "int main(void) {\n  z = 0.0f;\n  while (1) {\n"
-        << "    y = f0(in);\n    __astral_wait();\n  }\n  return 0;\n}\n";
-
-    // Partition every other level: call sites inside partitioned callees
-    // see the partition disjunction, so the call grain and the partition
-    // grain nest both ways around each other.
-    expectMatrixIdentical(Src.str(), [Depth](AnalyzerOptions &O) {
-      for (unsigned L = 0; L < Depth; L += 2)
-        O.PartitionFunctions.insert("f" + std::to_string(L));
-      O.VolatileRanges["sel"] = Interval(0, 4);
-      O.VolatileRanges["in"] = Interval(-30, 30);
-      // The generated accumulator loops (u = u + t) widen up the whole
-      // threshold ladder one rung per iteration; a short ladder keeps that
-      // climb cheap, and the test is about dispatch, not precision.
-      O.ThresholdCount = 8;
-    });
-  }
-}
-
-TEST(CallDispatch, WideningCalleeInputMatchesSequentialBitwise) {
+TEST(CallContexts, WideningCalleeInputStaysClamped) {
   // An accumulator grows through the widening sequence, so the callee sees
   // a different input environment on every fixpoint iteration until
   // stabilization. The clamp inside the callee must still bound the
-  // accumulator's final range — proved here by value — and every execution
-  // policy must reproduce the sequential report bitwise.
+  // accumulator's final range — proved here by value.
   const char *Src = "volatile float in;\n"
                     "float acc;\n"
                     "float step(float a, float d) {\n"
@@ -294,35 +122,35 @@ TEST(CallDispatch, WideningCalleeInputMatchesSequentialBitwise) {
   EXPECT_LE(Acc.Hi, 100.0);
   // The widening trajectory re-inlines the callee from several inputs.
   EXPECT_GT(R.Stats.get("iterator.calls_inlined"), 1u);
-  expectMatrixIdentical(Src, Tweak);
 }
 
 //===----------------------------------------------------------------------===//
-// MaxCallDepth prototype havoc under par
+// MaxCallDepth prototype havoc
 //===----------------------------------------------------------------------===//
 
-TEST(CallDispatch, PrototypeHavocUnderParMatchesSeq) {
+TEST(CallContexts, PrototypeHavocAtMaxCallDepth) {
   // MaxCallDepth 1: control_step still inlines from main, but the clamp
   // helper inside it exceeds the depth and degrades to the prototype havoc
-  // (return target forgotten). The havoc path runs inside call-dispatch
-  // workers when the helper's caller fans out — byte-identity must hold,
-  // and the precision loss must be the same loss everywhere (the joined
-  // |out| bound is gone, so the assertion alarms fire deterministically).
-  auto Tweak = [](AnalyzerOptions &O) {
-    partitionedHelperTweak(O);
-    O.MaxCallDepth = 1;
-  };
-  expectMatrixIdentical(PartitionedHelperSrc, Tweak);
+  // (return target forgotten).
+  AnalysisResult Full = analyzeSource(PartitionedHelperSrc,
+                                      partitionedHelperTweak);
+  ASSERT_TRUE(Full.FrontendOk);
 
-  AnalysisResult R = analyzeSource(PartitionedHelperSrc, Tweak);
+  AnalysisResult R =
+      analyzeSource(PartitionedHelperSrc, [](AnalyzerOptions &O) {
+        partitionedHelperTweak(O);
+        O.MaxCallDepth = 1;
+      });
   ASSERT_TRUE(R.FrontendOk);
   // The havocked return makes m unbounded: the |out| assertions can no
-  // longer be proved, unlike the fully inlined run (0 alarms).
-  EXPECT_GT(R.Alarms.size(), 0u);
+  // longer be proved, unlike in the fully inlined run.
+  EXPECT_GT(R.Alarms.size(), Full.Alarms.size());
+  EXPECT_LT(R.Stats.get("iterator.calls_inlined"),
+            Full.Stats.get("iterator.calls_inlined"));
 }
 
 //===----------------------------------------------------------------------===//
-// Budget governance: the poll stays master-only under the call grain
+// Budget governance with inlined calls
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -355,13 +183,10 @@ std::string degradeSignature(const AnalysisResult &R) {
 
 } // namespace
 
-TEST(CallDispatch, BudgetDegradationDeterministicAcrossCallDispatch) {
-  // The Fixpoint budget poll predicate (!CollectMode && CallDepth == 0 &&
-  // !T.Conc) excludes call-dispatch workers twice over: they are
-  // CollectMode clones AND their fixpoints sit under CallDepth >= 1. If a
-  // worker ever polled, the deterministic live figure would be sampled at
-  // worker-timing-dependent points and the ladder would diverge between
-  // the dispatch modes — this is the regression test for that predicate.
+TEST(CallContexts, BudgetDegradationIsDeterministicAcrossJobs) {
+  // The Fixpoint budget poll predicate (CallDepth == 0 && !T.Conc) keeps
+  // the fixpoints of inlined callees from sampling the live figure; the
+  // ladder must come out the same on every run and at every --jobs value.
   AnalysisInput Base = familyInput(1200, 7);
   AnalysisResult Free = Analyzer::analyze(Base);
   ASSERT_TRUE(Free.FrontendOk) << Free.FrontendErrors;
@@ -369,24 +194,18 @@ TEST(CallDispatch, BudgetDegradationDeterministicAcrossCallDispatch) {
   const uint64_t Budget = Free.PeakAbstractBytes / 2;
 
   std::string Reference;
-  for (unsigned Jobs : {1u, 2u, 8u}) {
-    for (CallDispatchMode CD :
-         {CallDispatchMode::Sequential, CallDispatchMode::Parallel}) {
-      AnalysisInput In = familyInput(1200, 7);
-      In.Options.MemoryBudgetBytes = Budget;
-      In.Options.Jobs = Jobs;
-      In.Options.CallDispatch = CD;
-      AnalysisResult R = Analyzer::analyze(In);
-      ASSERT_TRUE(R.FrontendOk) << R.FrontendErrors;
-      EXPECT_TRUE(R.degraded());
-      EXPECT_GT(R.Stats.get("iterator.calls_inlined"), 0u);
-      std::string Sig = degradeSignature(R);
-      if (Reference.empty())
-        Reference = Sig;
-      else
-        EXPECT_EQ(Sig, Reference)
-            << "jobs=" << Jobs << " call-dispatch="
-            << (CD == CallDispatchMode::Parallel ? "par" : "seq");
-    }
+  for (unsigned Jobs : {1u, 8u}) {
+    AnalysisInput In = familyInput(1200, 7);
+    In.Options.MemoryBudgetBytes = Budget;
+    In.Options.Jobs = Jobs;
+    AnalysisResult R = Analyzer::analyze(In);
+    ASSERT_TRUE(R.FrontendOk) << R.FrontendErrors;
+    EXPECT_TRUE(R.degraded());
+    EXPECT_GT(R.Stats.get("iterator.calls_inlined"), 0u);
+    std::string Sig = degradeSignature(R);
+    if (Reference.empty())
+      Reference = Sig;
+    else
+      EXPECT_EQ(Sig, Reference) << "jobs=" << Jobs;
   }
 }

@@ -7,7 +7,7 @@
 // workers, the fault-injection arming semantics, and the end-to-end
 // contracts on a generated Sect. 4 family member — deadline expiry unwinds
 // with a typed reason, the memory-budget degradation ladder sheds precision
-// deterministically across the jobs x dispatch matrix, exhaustion waives the
+// deterministically across --jobs values, exhaustion waives the
 // budget on the last rung instead of failing, and --on-budget=fail unwinds.
 //
 //===----------------------------------------------------------------------===//
@@ -125,7 +125,7 @@ TEST(CancelToken, AmbientScopeInstallsAndRestores) {
       EXPECT_EQ(cancel::currentToken(), &Inner);
       EXPECT_NO_THROW(cancel::poll());
       {
-        // Null shadows any outer token, like SchedulerScope/CounterScope.
+        // Null shadows any outer token, like memtrack's CounterScope.
         cancel::TokenScope S3(nullptr);
         EXPECT_EQ(cancel::currentToken(), nullptr);
         EXPECT_NO_THROW(cancel::poll());
@@ -254,7 +254,7 @@ TEST(Governance, ExternalTokenPreemptsAnalysis) {
   }
 }
 
-TEST(Governance, BudgetDegradationIsDeterministicAcrossDispatchMatrix) {
+TEST(Governance, BudgetDegradationIsDeterministicAcrossJobs) {
   // Calibrate: the ungoverned peak of this member tells us a budget that
   // must trigger at least one ladder step.
   AnalysisInput Base = familyInput(1200, 7);
@@ -264,26 +264,22 @@ TEST(Governance, BudgetDegradationIsDeterministicAcrossDispatchMatrix) {
   const uint64_t Budget = Free.PeakAbstractBytes / 2;
 
   std::string Reference;
-  for (unsigned Jobs : {1u, 2u, 8u}) {
-    for (auto PD : {PartitionDispatchMode::Sequential,
-                    PartitionDispatchMode::Parallel}) {
-      AnalysisInput In = Base;
-      In.Options.MemoryBudgetBytes = Budget;
-      In.Options.Jobs = Jobs;
-      In.Options.PartitionDispatch = PD;
-      AnalysisResult R = Analyzer::analyze(In);
-      ASSERT_TRUE(R.FrontendOk) << R.FrontendErrors;
-      EXPECT_TRUE(R.MemoryBudgetConfigured);
-      EXPECT_TRUE(R.degraded())
-          << "half the ungoverned peak must force degradation";
-      std::string Sig = resultSignature(R);
-      if (Reference.empty())
-        Reference = Sig;
-      else
-        EXPECT_EQ(Sig, Reference)
-            << "degraded reports must be byte-identical across the "
-            << "jobs x dispatch matrix (jobs=" << Jobs << ")";
-    }
+  for (unsigned Jobs : {1u, 8u}) {
+    AnalysisInput In = Base;
+    In.Options.MemoryBudgetBytes = Budget;
+    In.Options.Jobs = Jobs;
+    AnalysisResult R = Analyzer::analyze(In);
+    ASSERT_TRUE(R.FrontendOk) << R.FrontendErrors;
+    EXPECT_TRUE(R.MemoryBudgetConfigured);
+    EXPECT_TRUE(R.degraded())
+        << "half the ungoverned peak must force degradation";
+    std::string Sig = resultSignature(R);
+    if (Reference.empty())
+      Reference = Sig;
+    else
+      EXPECT_EQ(Sig, Reference)
+          << "degraded reports must be byte-identical across --jobs (jobs="
+          << Jobs << ")";
   }
 }
 

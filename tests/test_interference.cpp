@@ -3,12 +3,11 @@
 // Part of ASTRAL, a reproduction of "A Static Analyzer for Large
 // Safety-Critical Software" (PLDI 2003). Covers the interference-based
 // concurrency subsystem bottom-up: the InterferenceMap join-semilattice
-// (monotone, commutative, idempotent accumulation — what lets the fixpoint
-// rounds fan out), the widening cap, the per-thread fixpoint rounds on
+// (monotone, commutative, idempotent accumulation — what makes the fold
+// order-independent), the widening cap, the per-thread fixpoint rounds on
 // hand-computable two-thread programs, the data-race and cross-thread-range
 // alarm classes (true positives AND pinned non-alarms), and the determinism
-// contract: threaded reports byte-identical across --jobs=1/2/8 and both
-// pack- and partition-dispatch modes.
+// contract: threaded reports byte-identical across --jobs=1/2/8.
 //
 //===----------------------------------------------------------------------===//
 
@@ -307,13 +306,12 @@ TEST(InterferenceAlarms, BaselineErrorsAreNotBlamedOnInterference) {
 }
 
 //===----------------------------------------------------------------------===//
-// Determinism across the dispatch matrix
+// Determinism across --jobs
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Everything the report layer prints that the determinism contract covers
-/// (the threaded twin of test_pack_groups' fingerprint).
+/// Everything the report layer prints that the determinism contract covers.
 std::string fingerprint(const AnalysisResult &R) {
   std::ostringstream F;
   F << "alarms:" << R.Alarms.size() << "\n";
@@ -328,9 +326,8 @@ std::string fingerprint(const AnalysisResult &R) {
   return F.str();
 }
 
-/// A threaded program exercising every parallel grain at once: two thread
-/// entries (thread fan-out), a shared cell read under a guard (interference
-/// joins), and a main with relational packs.
+/// A threaded program with two thread entries, a shared cell read under a
+/// guard (interference joins), and a main with relational packs.
 const char *MatrixSrc =
     "volatile float in;\n"
     "int mode;\n"
@@ -354,31 +351,19 @@ const char *MatrixSrc =
 
 } // namespace
 
-TEST(InterferenceDeterminism, ThreadedReportsAreIdenticalAcrossTheMatrix) {
-  auto Run = [&](unsigned Jobs, PackDispatchMode Pack,
-                 PartitionDispatchMode Part) {
+TEST(InterferenceDeterminism, ThreadedReportsAreIdenticalAcrossJobs) {
+  auto Run = [&](unsigned Jobs) {
     return fingerprint(analyzeSource(MatrixSrc, [&](AnalyzerOptions &O) {
       O.Threads.emplace_back("controller_t", "controller");
       O.Threads.emplace_back("monitor_t", "monitor");
       O.VolatileRanges["in"] = Interval(-100, 100);
       O.Jobs = Jobs;
-      O.PackDispatch = Pack;
-      O.PartitionDispatch = Part;
     }));
   };
-  std::string Base =
-      Run(1, PackDispatchMode::Sequential, PartitionDispatchMode::Sequential);
+  std::string Base = Run(1);
   EXPECT_NE(Base.find("rounds:"), std::string::npos);
-  for (unsigned Jobs : {1u, 2u, 8u})
-    for (PackDispatchMode Pack :
-         {PackDispatchMode::Sequential, PackDispatchMode::Groups})
-      for (PartitionDispatchMode Part : {PartitionDispatchMode::Sequential,
-                                         PartitionDispatchMode::Parallel})
-        EXPECT_EQ(Run(Jobs, Pack, Part), Base)
-            << "jobs=" << Jobs << " pack="
-            << (Pack == PackDispatchMode::Groups ? "groups" : "seq")
-            << " part="
-            << (Part == PartitionDispatchMode::Parallel ? "par" : "seq");
+  for (unsigned Jobs : {2u, 8u})
+    EXPECT_EQ(Run(Jobs), Base) << "jobs=" << Jobs;
 }
 
 TEST(InterferenceDeterminism, ThreadDeclarationOrderOwnsTheReport) {

@@ -1,20 +1,14 @@
-//===- tests/test_partition_dispatch.cpp - Trace-partition dispatch ---------===//
+//===- tests/test_partition_dispatch.cpp - Trace-partition merges -----------===//
 //
 // Part of ASTRAL, a reproduction of "A Static Analyzer for Large
-// Safety-Critical Software" (PLDI 2003). Tests the third parallel grain —
-// partition-level dispatch inside `@astral partition` functions — and the
-// precision bugs of the partition merge paths it builds on:
+// Safety-Critical Software" (PLDI 2003). Tests the merge paths of trace
+// partitioning inside `@astral partition` functions (Sect. 7.1.5), with
+// hand-pinned values:
 //
-//   - --partition-dispatch=par must produce reports bitwise identical to
-//     the sequential per-partition loop, at every --jobs value and in both
-//     --pack-dispatch modes, on randomized nested partitioned functions.
 //   - The MaxPartitions cap joins only the *overflow* (one partition past
-//     the cap costs one join, not the whole disjunction).
-//   - partitioning.delayed_merges is width-accurate and its accumulation
-//     is race-free under partition workers (run under TSan in CI).
-//   - Loop invariants recorded inside partition workers replay onto the
-//     master map deterministically, through the same reduce-then-join the
-//     sequential path uses.
+//     the cap costs one join, not the whole disjunction), and the capped
+//     report is byte-identical across --jobs.
+//   - partitioning.delayed_merges is width-accurate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
 #include <sstream>
 
 using namespace astral;
@@ -53,165 +46,7 @@ std::string fingerprint(const AnalysisResult &R) {
   return F.str();
 }
 
-/// The full 3-D execution-policy matrix of one source: sequential
-/// everything at --jobs=1 is the baseline every (jobs, partition-dispatch,
-/// pack-dispatch) configuration must reproduce bitwise.
-void expectMatrixIdentical(
-    const std::string &Src,
-    const std::function<void(AnalyzerOptions &)> &Tweak = nullptr) {
-  auto Run = [&](unsigned Jobs, PartitionDispatchMode PMode,
-                 PackDispatchMode KMode) {
-    return fingerprint(analyzeSource(Src, [&](AnalyzerOptions &O) {
-      if (Tweak)
-        Tweak(O);
-      O.Jobs = Jobs;
-      O.PartitionDispatch = PMode;
-      O.PackDispatch = KMode;
-    }));
-  };
-  std::string Base = Run(1, PartitionDispatchMode::Sequential,
-                         PackDispatchMode::Sequential);
-  for (unsigned Jobs : {1u, 2u, 8u})
-    for (PartitionDispatchMode PMode : {PartitionDispatchMode::Sequential,
-                                        PartitionDispatchMode::Parallel})
-      for (PackDispatchMode KMode :
-           {PackDispatchMode::Sequential, PackDispatchMode::Groups})
-        EXPECT_EQ(Run(Jobs, PMode, KMode), Base)
-            << "jobs=" << Jobs << " partition-dispatch="
-            << (PMode == PartitionDispatchMode::Parallel ? "par" : "seq")
-            << " pack-dispatch="
-            << (KMode == PackDispatchMode::Groups ? "groups" : "seq");
-}
-
-/// The partitioned_switch shape plus everything the worker contexts must
-/// buffer: a loop with break/continue crossing back into the caller's
-/// iteration context, an early return, an alarm inside the partitioned
-/// subtree, and a nested partitioned callee.
-const char *PartitionedControlSrc =
-    "volatile int mode; volatile float meas;\n"
-    "float out; float acc; int phase;\n"
-    "float inner(void) {\n"
-    "  float g;\n"
-    "  if (mode == 0) { g = 2.0f; } else { g = 8.0f; }\n"
-    "  if (meas > 10.0f) { g = g * 0.5f; }\n"
-    "  return g;\n"
-    "}\n"
-    "void control_step(void) {\n"
-    "  float limit; float m; float gain; int i;\n"
-    "  m = meas;\n"
-    "  if (mode == 0) { limit = 5.0f; } else { limit = 20.0f; }\n"
-    "  if (m > limit)  { m = limit; }\n"
-    "  if (m < -limit) { m = -limit; }\n"
-    "  gain = inner();\n"
-    "  acc = 0.0f;\n"
-    "  i = 0;\n"
-    "  while (i < 4) {\n"
-    "    i = i + 1;\n"
-    "    if (m > 15.0f) { continue; }\n"
-    "    acc = acc + m;\n"
-    "    if (acc > 50.0f) { break; }\n"
-    "  }\n"
-    "  if (phase == 1) { return; }\n"
-    "  if (mode == 0) { out = m * 8.0f; } else { out = m * 2.0f; }\n"
-    "  __astral_assert(out < 41.0f);\n"
-    "}\n"
-    "int main(void) {\n"
-    "  phase = 0;\n"
-    "  while (1) {\n"
-    "    control_step();\n"
-    "    __astral_assert(out > -41.0f);\n"
-    "    __astral_wait();\n"
-    "  }\n"
-    "  return 0;\n"
-    "}\n";
-
-void partitionedControlTweak(AnalyzerOptions &O) {
-  O.PartitionFunctions.insert("control_step");
-  O.PartitionFunctions.insert("inner");
-  O.VolatileRanges["mode"] = Interval(0, 1);
-  O.VolatileRanges["meas"] = Interval(-50, 50);
-}
-
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Parallel-vs-sequential bitwise equality
-//===----------------------------------------------------------------------===//
-
-TEST(PartitionDispatch, ControlStepMatchesSequentialBitwise) {
-  expectMatrixIdentical(PartitionedControlSrc, partitionedControlTweak);
-}
-
-TEST(PartitionDispatch, DispatchActuallyFansOut) {
-  // Guards the feature against silent degeneration: with a parallel
-  // scheduler and partitions in flight, the parallel path must really run
-  // — the census is outside the byte-identity contract, but "it never
-  // triggers" would make the whole grain dead code.
-  AnalysisResult R = analyzeSource(PartitionedControlSrc,
-                                   [](AnalyzerOptions &O) {
-                                     partitionedControlTweak(O);
-                                     O.Jobs = 2;
-                                   });
-  ASSERT_TRUE(R.FrontendOk);
-  EXPECT_GT(R.Stats.get("parallel.partitions.dispatched"), 0u);
-  EXPECT_GE(R.Stats.get("parallel.partitions.max_width"), 2u);
-  EXPECT_EQ(R.Stats.get("parallel.partition_dispatch_par"), 1u);
-
-  // The sequential mode never takes the parallel path.
-  AnalysisResult S = analyzeSource(
-      PartitionedControlSrc, [](AnalyzerOptions &O) {
-        partitionedControlTweak(O);
-        O.Jobs = 2;
-        O.PartitionDispatch = PartitionDispatchMode::Sequential;
-      });
-  EXPECT_EQ(S.Stats.get("parallel.partitions.dispatched"), 0u);
-  EXPECT_EQ(S.Stats.get("parallel.partitions.max_width"), 0u);
-  EXPECT_EQ(S.Stats.get("parallel.partition_dispatch_par"), 0u);
-}
-
-TEST(PartitionDispatch, RandomizedNestedPartitionedFunctions) {
-  // Randomized nested partitioned functions: a chain of partitioned
-  // callees, each fanning out over its own mode switches, with loops,
-  // breaks and early returns mixed in per seed. Every shape must
-  // reproduce the sequential report bitwise across the whole matrix.
-  for (unsigned Seed = 1; Seed <= 4; ++Seed) {
-    std::mt19937 Rng(Seed);
-    unsigned Depth = 2 + Seed % 2; // 2-3 nested partitioned functions
-    std::ostringstream Src;
-    Src << "volatile int sel; volatile float in;\n"
-        << "float y; float z;\n";
-    for (unsigned L = 0; L < Depth; ++L) {
-      unsigned Ifs = 1 + Rng() % 3;
-      Src << "float f" << L << "(void) {\n  float t; float u;\n"
-          << "  t = 0.0f;\n";
-      for (unsigned I = 0; I < Ifs; ++I) {
-        double Inc = 1.0 + (Rng() % 5);
-        Src << "  if (sel > " << (Rng() % 4) << ") { t = t + " << Inc
-            << "f; } else { t = t - " << Inc << "f; }\n";
-      }
-      if (L + 1 < Depth)
-        Src << "  u = f" << (L + 1) << "();\n";
-      else
-        Src << "  u = in;\n";
-      if (Rng() % 2) {
-        Src << "  int i; i = 0;\n  while (i < 3) {\n    i = i + 1;\n"
-            << "    if (u > 20.0f) { break; }\n    u = u + t;\n  }\n";
-      }
-      if (Rng() % 2)
-        Src << "  if (sel == 0) { return t; }\n";
-      Src << "  return t + u * 0.0f;\n}\n";
-    }
-    Src << "int main(void) {\n  while (1) {\n    y = f0();\n"
-        << "    __astral_wait();\n  }\n  return 0;\n}\n";
-
-    expectMatrixIdentical(Src.str(), [Depth](AnalyzerOptions &O) {
-      for (unsigned L = 0; L < Depth; ++L)
-        O.PartitionFunctions.insert("f" + std::to_string(L));
-      O.VolatileRanges["sel"] = Interval(0, 4);
-      O.VolatileRanges["in"] = Interval(-30, 30);
-    });
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // MaxPartitions cap: join the overflow, not the world
@@ -276,15 +111,21 @@ TEST(PartitionCap, UnderTheCapNothingCollapses) {
   EXPECT_EQ(R.Stats.get("partitioning.cap_collapsed_envs"), 0u);
 }
 
-TEST(PartitionCap, CappedDisjunctionIsDeterministicAcrossTheMatrix) {
-  expectMatrixIdentical(CapOverflowSrc, [](AnalyzerOptions &O) {
-    capOverflowTweak(O);
-    O.MaxPartitions = 7;
-  });
+TEST(PartitionCap, CappedDisjunctionIsDeterministicAcrossJobs) {
+  auto Run = [](unsigned Jobs) {
+    return fingerprint(analyzeSource(CapOverflowSrc, [Jobs](AnalyzerOptions &O) {
+      capOverflowTweak(O);
+      O.MaxPartitions = 7;
+      O.Jobs = Jobs;
+    }));
+  };
+  std::string Base = Run(1);
+  for (unsigned Jobs : {2u, 8u})
+    EXPECT_EQ(Run(Jobs), Base) << "jobs=" << Jobs;
 }
 
 //===----------------------------------------------------------------------===//
-// Width-accurate partition statistics, race-free under workers
+// Width-accurate partition statistics
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -320,72 +161,4 @@ TEST(PartitionStats, DelayedMergesAreWidthAccurate) {
   AnalysisResult R = analyzeSource(TwoSwitchSrc, twoSwitchTweak);
   ASSERT_TRUE(R.FrontendOk);
   EXPECT_EQ(R.Stats.get("partitioning.delayed_merges"), 6u);
-}
-
-TEST(PartitionStats, CountersAreIdenticalFromPartitionWorkers) {
-  // The same widths are counted whether the partitions run inline or on
-  // workers: Statistics accumulation is mutex-guarded and every bump is a
-  // commutative add, so totals are independent of interleaving. Run under
-  // TSan in CI, this is also the race-freedom check for worker-side bumps.
-  for (unsigned Jobs : {1u, 8u}) {
-    AnalysisResult R = analyzeSource(TwoSwitchSrc, [Jobs](AnalyzerOptions &O) {
-      twoSwitchTweak(O);
-      O.Jobs = Jobs;
-    });
-    ASSERT_TRUE(R.FrontendOk);
-    EXPECT_EQ(R.Stats.get("partitioning.delayed_merges"), 6u)
-        << "jobs=" << Jobs;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Loop-invariant recording across partition workers
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Flattens a loop-invariant map into comparable text (cell intervals in
-/// cell order per loop id).
-std::string invariantsFingerprint(
-    const std::map<uint32_t, memory::AbstractEnv> &Invs) {
-  std::ostringstream F;
-  for (const auto &[LoopId, Env] : Invs) {
-    F << "loop " << LoopId << ":";
-    Env.forEachCell([&](CellId C, const memory::ScalarAbs &S) {
-      F << " " << C << "=" << S.Itv.toString();
-    });
-    F << "\n";
-  }
-  return F.str();
-}
-
-AnalysisInput invariantInput(unsigned Jobs, PartitionDispatchMode Mode) {
-  // A loop *inside* the partitioned function: its invariant is recorded
-  // once per partition context, by a worker under par dispatch — the
-  // replay path (PendingInvariants) must reproduce the sequential
-  // reduce-then-join fold exactly.
-  AnalysisInput In;
-  In.Source = PartitionedControlSrc;
-  In.FileName = "inv.c";
-  In.Options.ClockMax = 1.0e6;
-  partitionedControlTweak(In.Options);
-  In.Options.Jobs = Jobs;
-  In.Options.PartitionDispatch = Mode;
-  return In;
-}
-
-} // namespace
-
-TEST(PartitionInvariants, WorkerRecordedInvariantsMatchSequential) {
-  AnalysisSession Seq(invariantInput(1, PartitionDispatchMode::Sequential));
-  const auto &SeqExec = Seq.runAbstractExecution();
-  std::string Base = invariantsFingerprint(SeqExec.LoopInvariants);
-  EXPECT_FALSE(SeqExec.LoopInvariants.empty());
-
-  for (unsigned Jobs : {2u, 8u}) {
-    AnalysisSession Par(invariantInput(Jobs, PartitionDispatchMode::Parallel));
-    const auto &ParExec = Par.runAbstractExecution();
-    EXPECT_EQ(invariantsFingerprint(ParExec.LoopInvariants), Base)
-        << "jobs=" << Jobs;
-  }
 }

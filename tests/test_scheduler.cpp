@@ -121,32 +121,3 @@ TEST(ThreadPoolScheduler, ReusedAcrossManyPhases) {
   }
   EXPECT_EQ(Total.load(), Expected);
 }
-
-TEST(SchedulerScope, InstallsAndRestoresAmbient) {
-  EXPECT_EQ(Scheduler::ambient(), nullptr);
-  SequentialScheduler A, B;
-  {
-    SchedulerScope SA(&A);
-    EXPECT_EQ(Scheduler::ambient(), &A);
-    {
-      SchedulerScope SB(&B);
-      EXPECT_EQ(Scheduler::ambient(), &B);
-    }
-    EXPECT_EQ(Scheduler::ambient(), &A);
-  }
-  EXPECT_EQ(Scheduler::ambient(), nullptr);
-}
-
-TEST(SchedulerScope, WorkersHaveNoAmbientScheduler) {
-  ThreadPoolScheduler Pool(4);
-  SchedulerScope Scope(&Pool);
-  std::atomic<int> Violations{0};
-  Pool.parallelFor(64, [&](size_t) {
-    // The submitting thread sees its ambient scheduler; pool workers see
-    // none (nested lattice stages run sequentially inline there).
-    Scheduler *S = Scheduler::ambient();
-    if (S != nullptr && S != &Pool)
-      Violations.fetch_add(1);
-  });
-  EXPECT_EQ(Violations.load(), 0);
-}

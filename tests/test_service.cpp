@@ -475,15 +475,20 @@ TEST(ServeDaemon, MalformedAndInvalidRequestsGetErrorResponses) {
   EXPECT_NE(R->find("error")->asString().find("unknown flag"),
             std::string::npos);
 
-  // Removed flags are unknown flags like any other, in both spellings.
-  for (std::vector<std::string> Args :
-       {std::vector<std::string>{"--call-memo=off"},
-        std::vector<std::string>{"--call-memo", "off"}}) {
-    cli::CliOptions Cli;
-    cli::ParseOutcome P = cli::parseArgs(Args, Cli);
-    EXPECT_FALSE(P.Ok) << Args[0];
-    EXPECT_NE(P.Error.find("unknown flag '--call-memo"), std::string::npos)
-        << P.Error;
+  // Removed flags are unknown flags like any other, in both spellings:
+  // the call-summary memo and the three within-file dispatch grains.
+  for (const char *Flag : {"--call-memo", "--pack-dispatch",
+                           "--partition-dispatch", "--call-dispatch"}) {
+    for (std::vector<std::string> Args :
+         {std::vector<std::string>{std::string(Flag) + "=seq"},
+          std::vector<std::string>{Flag, "seq"}}) {
+      cli::CliOptions Cli;
+      cli::ParseOutcome P = cli::parseArgs(Args, Cli);
+      EXPECT_FALSE(P.Ok) << Args[0];
+      EXPECT_NE(P.Error.find(std::string("unknown flag '") + Flag),
+                std::string::npos)
+          << P.Error;
+    }
   }
 
   // Input paths may not sneak through args — files travel in 'files'.
@@ -865,11 +870,14 @@ TEST(ServeDaemonChaos, AnalysisSideFaultsAreIsolatedToTheirRequest) {
     EXPECT_TRUE(After->find("ok")->asBool()) << Site;
   }
 
-  // A worker-task fault needs an analysis that actually fans out: the
-  // family member's pack groups and trace partitions dispatch pool tasks
-  // under the daemon's 2-job scheduler.
+  // A worker-task fault needs a request that actually reaches the pool: a
+  // one-file drain runs inline, a two-file request dispatches both files
+  // as tasks of the daemon's 2-job scheduler.
+  Request TwoFiles = UniqueRequest("scheduler-worker");
+  TwoFiles.Files.push_back(TwoFiles.Files[0]);
+  TwoFiles.Files[1].Path = "limiter2.c";
   faultinject::arm("scheduler-worker", 1);
-  std::optional<JsonValue> R = C->roundTrip(familyAnalyzeRequest({}), Err);
+  std::optional<JsonValue> R = C->roundTrip(TwoFiles, Err);
   ASSERT_TRUE(R) << Err;
   EXPECT_EQ(errorKindOf(R->serialize()), "internal") << "scheduler-worker";
   faultinject::reset();

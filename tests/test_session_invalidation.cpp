@@ -84,7 +84,7 @@ const std::vector<MatrixCase> &matrix() {
        },
        StaleFrom::Packing},
       {"jobs", [](AnalyzerOptions &O) { O.Jobs = O.Jobs == 4 ? 2 : 4; },
-       StaleFrom::Execution},
+       StaleFrom::Nothing},
       {"extra threshold",
        [](AnalyzerOptions &O) { O.ExtraThresholds.push_back(123.5); },
        StaleFrom::Execution},
@@ -153,6 +153,9 @@ TEST(SessionInvalidation, FingerprintsAreCumulativeAcrossPhases) {
 
   AnalyzerOptions Entry = Base;
   Entry.EntryFunction = "other_entry";
+  AnalyzerOptions Clock = Base;
+  Clock.ClockMax *= 2;
+  // Jobs only sizes the batch pool; it changes no artifact at all.
   AnalyzerOptions Jobs = Base;
   Jobs.Jobs = 7;
 
@@ -163,11 +166,14 @@ TEST(SessionInvalidation, FingerprintsAreCumulativeAcrossPhases) {
         << "entry change invisible at phase " << int(P);
     if (P == Phase::Execution)
       EXPECT_NE(AnalysisSession::optionsFingerprint(Base, P),
-                AnalysisSession::optionsFingerprint(Jobs, P));
+                AnalysisSession::optionsFingerprint(Clock, P));
     else
       EXPECT_EQ(AnalysisSession::optionsFingerprint(Base, P),
-                AnalysisSession::optionsFingerprint(Jobs, P))
-          << "jobs must not leak into phase " << int(P);
+                AnalysisSession::optionsFingerprint(Clock, P))
+          << "clock-max must not leak into phase " << int(P);
+    EXPECT_EQ(AnalysisSession::optionsFingerprint(Base, P),
+              AnalysisSession::optionsFingerprint(Jobs, P))
+        << "jobs must not reach phase " << int(P);
   }
 }
 

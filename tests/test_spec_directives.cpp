@@ -142,27 +142,6 @@ TEST(SpecDirectives, JobsAboveHardwareWarnsOnce) {
   }
 }
 
-TEST(SpecDirectives, PackDispatchModeParses) {
-  AnalyzerOptions Opts;
-  std::vector<std::string> W =
-      applySpecDirectives("/* @astral pack-dispatch seq */", Opts);
-  EXPECT_TRUE(W.empty()) << W.front();
-  EXPECT_EQ(Opts.PackDispatch, PackDispatchMode::Sequential);
-  W = applySpecDirectives("/* @astral pack-dispatch groups */", Opts);
-  EXPECT_TRUE(W.empty()) << W.front();
-  EXPECT_EQ(Opts.PackDispatch, PackDispatchMode::Groups);
-}
-
-TEST(SpecDirectives, MalformedPackDispatchWarns) {
-  AnalyzerOptions Defaults;
-  AnalyzerOptions Opts;
-  std::vector<std::string> W =
-      applySpecDirectives("/* @astral pack-dispatch sometimes */", Opts);
-  ASSERT_EQ(W.size(), 1u);
-  EXPECT_NE(W[0].find("pack-dispatch"), std::string::npos);
-  EXPECT_EQ(Opts.PackDispatch, Defaults.PackDispatch);
-}
-
 TEST(SpecDirectives, OctagonClosureModeParses) {
   AnalyzerOptions Opts;
   std::vector<std::string> W =
@@ -200,4 +179,30 @@ TEST(SpecDirectives, RemovedMemoDirectiveIsUnknown) {
                 Opts, AnalysisSession::Phase::Execution),
             AnalysisSession::optionsFingerprint(
                 Defaults, AnalysisSession::Phase::Execution));
+}
+
+TEST(SpecDirectives, RemovedDispatchDirectivesAreUnknown) {
+  // The within-file dispatch grains and their directives are gone (one file
+  // always runs on one thread): an input still carrying one gets the
+  // generic unknown-directive warning, and no option moves.
+  AnalyzerOptions Defaults;
+  for (const char *Kind :
+       {"pack-dispatch", "partition-dispatch", "call-dispatch"}) {
+    for (const char *Mode : {"seq", "par", "groups"}) {
+      AnalyzerOptions Opts;
+      std::string Src =
+          std::string("/* @astral ") + Kind + " " + Mode + " */";
+      std::vector<std::string> W = applySpecDirectives(Src, Opts);
+      ASSERT_EQ(W.size(), 1u) << Src;
+      EXPECT_NE(W[0].find(std::string("unknown @astral directive '") + Kind +
+                          "'"),
+                std::string::npos)
+          << W[0];
+      EXPECT_EQ(AnalysisSession::optionsFingerprint(
+                    Opts, AnalysisSession::Phase::Execution),
+                AnalysisSession::optionsFingerprint(
+                    Defaults, AnalysisSession::Phase::Execution))
+          << Src;
+    }
+  }
 }
