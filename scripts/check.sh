@@ -28,7 +28,7 @@ echo "== tsan: ThreadSanitizer build + parallel suites =="
 cmake -B build-tsan -S . -DASTRAL_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R "test_scheduler|test_analysis_session|test_iterator|test_domain_registry|test_octagon|test_partition_dispatch|test_call_dispatch|test_service|test_interference|test_cancellation"
+      -R "test_scheduler|test_analysis_session|test_iterator|test_domain_registry|test_octagon|test_partition_dispatch|test_call_dispatch|test_service|test_interference|test_cancellation|test_persistent_map"
 
 echo
 echo "== determinism: --jobs=8 batch vs per-file --jobs=1 reports (CI parity) =="

@@ -196,6 +196,10 @@ void ThreadPoolScheduler::parallelFor(size_t N,
     if (Current == B)
       Current = nullptr;
   }
-  if (B->FirstError)
-    std::rethrow_exception(B->FirstError);
+  // Move the error out of the batch: a worker may still hold the batch,
+  // and its last reference must not release the exception this thread is
+  // rethrowing (the exception's refcount lives in uninstrumented libstdc++
+  // code, so ThreadSanitizer reports that hand-off as a race).
+  if (std::exception_ptr E = std::move(B->FirstError))
+    std::rethrow_exception(E);
 }

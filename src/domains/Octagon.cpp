@@ -217,8 +217,7 @@ bool Octagon::close() {
                      (PivotDirty | StarDirty) != 0 &&
                      2 * P + 3 * S < 2 * size();
   if (OctagonClosureStats *Stats = Pack->Stats.get()) {
-    auto &Counter = Incremental ? Stats->Incremental : Stats->Full;
-    Counter.fetch_add(1, std::memory_order_relaxed);
+    ++(Incremental ? Stats->Incremental : Stats->Full);
   }
   if (Incremental) {
     uint32_t All = Pivot | StarDirty;
@@ -482,61 +481,71 @@ void Octagon::shiftVar(int Idx, const Interval &Delta) {
   // A shift preserves closure.
 }
 
-double Octagon::formUpperBound(
-    const LinearForm &Form,
-    const std::function<Interval(CellId)> &CellRange) const {
-  if (!Form.valid())
-    return INFINITY;
-  double Upper = Form.constTerm().Hi;
-  // Greedy pairing of unit-coefficient pack terms through binary
-  // constraints; the remainder is bounded term-wise with the tighter of the
-  // octagon unary bound and the external interval.
-  struct Term {
-    int Idx = -1; ///< Pack index or -1.
-    CellId Cell = 0;
-    Interval Coef;
-    bool Used = false;
-  };
-  // Forms rarely have more terms than a pack has cells (at most 16): those
-  // live on the stack, longer ones on the heap.
-  Term Inline[16];
-  std::vector<Term> Heap;
-  size_t NumTerms = Form.terms().size();
-  Term *Terms = Inline;
-  if (NumTerms > std::size(Inline)) {
-    Heap.resize(NumTerms);
-    Terms = Heap.data();
+namespace {
+/// One term of a form being bounded: its pack index (-1 outside the pack),
+/// cell and coefficient, the slot of its range in the caller's range cache,
+/// and whether the pairing sweep already consumed it.
+struct BoundTerm {
+  int Idx = -1;
+  CellId Cell = 0;
+  Interval Coef;
+  size_t Slot = 0;
+  bool Used = false;
+};
+
+/// A buffer of \p Size elements, on the stack up to \p Inline of them.
+/// Forms rarely have more terms than a pack has cells (at most 16).
+template <typename T, size_t Inline> class SmallBuffer {
+public:
+  explicit SmallBuffer(size_t Size) {
+    if (Size > Inline) {
+      Heap.resize(Size);
+      Data = Heap.data();
+    }
   }
-  for (size_t K = 0; K < NumTerms; ++K) {
-    const auto &[Cell, Coef] = Form.terms()[K];
-    Terms[K].Idx = indexOf(Cell);
-    Terms[K].Cell = Cell;
-    Terms[K].Coef = Coef;
-  }
-  auto UnitSign = [](const Interval &C) -> int {
-    if (C == Interval::point(1.0))
-      return 1;
-    if (C == Interval::point(-1.0))
-      return -1;
-    return 0;
-  };
+  SmallBuffer(const SmallBuffer &) = delete;
+  SmallBuffer &operator=(const SmallBuffer &) = delete;
+  T *data() { return Data; }
+  T &operator[](size_t I) { return Data[I]; }
+
+private:
+  T Small[Inline];
+  std::vector<T> Heap;
+  T *Data = Small;
+};
+
+int unitSign(const Interval &C) {
+  if (C == Interval::point(1.0))
+    return 1;
+  if (C == Interval::point(-1.0))
+    return -1;
+  return 0;
+}
+
+/// Upper bound of Upper + sum(Terms) over the closed DBM \p D of \p N
+/// nodes. Greedy pairing of unit-coefficient pack terms through binary
+/// constraints; the remainder is bounded term-wise by RangeOf(term), the
+/// tighter of the octagon unary bound and the external interval.
+template <typename RangeFnT>
+double sweepUpperBound(const double *D, int N, double Upper, BoundTerm *Terms,
+                       size_t NumTerms, RangeFnT &&RangeOf) {
   for (size_t I = 0; I < NumTerms; ++I) {
     if (Terms[I].Used || Terms[I].Idx < 0)
       continue;
-    int SI = UnitSign(Terms[I].Coef);
+    int SI = unitSign(Terms[I].Coef);
     if (SI == 0)
       continue;
     for (size_t J = I + 1; J < NumTerms; ++J) {
       if (Terms[J].Used || Terms[J].Idx < 0)
         continue;
-      int SJ = UnitSign(Terms[J].Coef);
+      int SJ = unitSign(Terms[J].Coef);
       if (SJ == 0)
         continue;
       // Bound SI*vi + SJ*vj with the DBM: it equals x_p - x_q with
       // p = (SI>0 ? 2i : 2i+1), q = (SJ>0 ? 2j+1 : 2j).
       int Pi = SI > 0 ? 2 * Terms[I].Idx : 2 * Terms[I].Idx + 1;
       int Qj = SJ > 0 ? 2 * Terms[J].Idx + 1 : 2 * Terms[J].Idx;
-      double B = at(Pi, Qj);
+      double B = D[static_cast<size_t>(Pi) * N + Qj];
       if (std::isfinite(B)) {
         Upper = addUpInf(Upper, B);
         Terms[I].Used = Terms[J].Used = true;
@@ -545,17 +554,124 @@ double Octagon::formUpperBound(
     }
   }
   for (size_t K = 0; K < NumTerms; ++K) {
-    const Term &T = Terms[K];
+    const BoundTerm &T = Terms[K];
     if (T.Used)
       continue;
-    Interval R = T.Idx >= 0 ? varInterval(T.Idx).meet(CellRange(T.Cell))
-                            : CellRange(T.Cell);
+    Interval R = RangeOf(T);
     if (R.isBottom())
       return Upper; // Unreachable; any bound is sound.
     Interval Contribution = Interval::fmul(T.Coef, R);
     Upper = addUpInf(Upper, Contribution.Hi);
   }
   return Upper;
+}
+} // namespace
+
+double Octagon::formUpperBound(
+    const LinearForm &Form,
+    const std::function<Interval(CellId)> &CellRange) const {
+  if (!Form.valid())
+    return INFINITY;
+  size_t NumTerms = Form.terms().size();
+  SmallBuffer<BoundTerm, 16> Terms(NumTerms);
+  for (size_t K = 0; K < NumTerms; ++K) {
+    const auto &[Cell, Coef] = Form.terms()[K];
+    Terms[K].Idx = indexOf(Cell);
+    Terms[K].Cell = Cell;
+    Terms[K].Coef = Coef;
+  }
+  return sweepUpperBound(
+      M.data(), N, Form.constTerm().Hi, Terms.data(), NumTerms,
+      [&](const BoundTerm &T) {
+        return T.Idx >= 0 ? varInterval(T.Idx).meet(CellRange(T.Cell))
+                          : CellRange(T.Cell);
+      });
+}
+
+void Octagon::residualBounds(int Idx, const LinearForm &Form,
+                             const std::function<Interval(CellId)> &CellRange,
+                             double *Out) const {
+  // The residual forms are SelfForm = Form without v's term, and
+  // SelfForm -/+ w for every other pack variable w. They are never built:
+  // SelfForm's terms, with their pack indices resolved once, are merged
+  // with w's unit term into a stack buffer by the very operations
+  // LinearForm::add/sub/negate apply (fadd of the constants and of equal
+  // cells' coefficients, a cancelling sum dropped, fneg to negate), so each
+  // buffer holds the bits of the form it stands for and the shared sweep
+  // returns formUpperBound's bound. The ranges of unpaired terms are the
+  // same in every residual and are read once.
+  CellId Self = cells()[Idx];
+  const auto &FormTerms = Form.terms();
+  size_t K = size();
+  SmallBuffer<BoundTerm, 16> Base(FormTerms.size());
+  size_t NB = 0;
+  for (const auto &[Cell, Coef] : FormTerms) {
+    if (Cell == Self)
+      continue;
+    Base[NB].Idx = indexOf(Cell);
+    Base[NB].Cell = Cell;
+    Base[NB].Coef = Coef;
+    Base[NB].Slot = NB;
+    ++NB;
+  }
+  // Range slots: Base term S at S, pack variable w's own term at NB + w.
+  SmallBuffer<std::optional<Interval>, 32> Ranges(NB + K);
+  auto RangeOf = [&](const BoundTerm &T) {
+    std::optional<Interval> &R = Ranges[T.Slot];
+    if (!R)
+      R = T.Idx >= 0 ? varInterval(T.Idx).meet(CellRange(T.Cell))
+                     : CellRange(T.Cell);
+    return *R;
+  };
+  SmallBuffer<BoundTerm, 17> Buf(NB + 1);
+  const double *D = M.data();
+  // Writes sup(F) and sup(-F) of the form in Buf[0, NumTerms) + Const.
+  auto BoundBoth = [&](const Interval &Const, size_t NumTerms, double *Dst) {
+    Dst[0] = sweepUpperBound(D, N, Const.Hi, Buf.data(), NumTerms, RangeOf);
+    for (size_t T = 0; T < NumTerms; ++T) {
+      Buf[T].Coef = Interval::fneg(Buf[T].Coef);
+      Buf[T].Used = false;
+    }
+    Dst[1] = sweepUpperBound(D, N, Interval::fneg(Const).Hi, Buf.data(),
+                             NumTerms, RangeOf);
+  };
+
+  const Interval &Const = Form.constTerm();
+  std::copy(Base.data(), Base.data() + NB, Buf.data());
+  BoundBoth(Const, NB, Out);
+
+  const Interval One = Interval::point(1.0), Zero = Interval::point(0);
+  for (size_t W = 0; W < K; ++W) {
+    if (static_cast<int>(W) == Idx)
+      continue;
+    CellId WCell = cells()[W];
+    for (int Plus = 0; Plus < 2; ++Plus) {
+      // SelfForm.sub(var(w)) is SelfForm.add(var(w).negate()).
+      Interval WCoef = Plus ? One : Interval::fneg(One);
+      Interval WConst = Plus ? Zero : Interval::fneg(Zero);
+      size_t NT = 0, S = 0;
+      while (S < NB && Base[S].Cell < WCell)
+        Buf[NT++] = Base[S++];
+      if (S < NB && Base[S].Cell == WCell) {
+        Interval Sum = Interval::fadd(Base[S].Coef, WCoef);
+        if (!(Sum == Zero)) {
+          Buf[NT] = Base[S];
+          Buf[NT++].Coef = Sum;
+        }
+        ++S;
+      } else {
+        BoundTerm &T = Buf[NT++];
+        T.Idx = static_cast<int>(W);
+        T.Cell = WCell;
+        T.Coef = WCoef;
+        T.Slot = NB + W;
+        T.Used = false;
+      }
+      while (S < NB)
+        Buf[NT++] = Base[S++];
+      BoundBoth(Interval::fadd(Const, WConst), NT, Out + 2 + 4 * W + 2 * Plus);
+    }
+  }
 }
 
 void Octagon::assign(int Idx, const LinearForm &Form,
@@ -567,8 +683,7 @@ void Octagon::assign(int Idx, const LinearForm &Form,
   close();
   if (Empty)
     return;
-  const std::vector<CellId> &Vars = cells();
-  CellId Self = Vars[Idx];
+  CellId Self = cells()[Idx];
   LinearForm::OctShape Shape = Form.octagonShape();
 
   // Exact case: v := v + [a, b].
@@ -603,8 +718,13 @@ void Octagon::assign(int Idx, const LinearForm &Form,
   // General case ("smart" fallback): forget v, then synthesize interval
   // bounds for v, v - w and v + w for every pack variable w by evaluating
   // the appropriate residual form (this is how c <= L - Z <= d is derived
-  // from L := Z + V in the paper's example).
-  Octagon Before(*this);
+  // from L := Z + V in the paper's example). The bounds are read off the
+  // closed DBM before v is forgotten. A form that mentions v itself would
+  // need v's old value; v is then only forgotten.
+  bool Smart = Form.coeff(Self) == Interval::point(0);
+  double Bounds[2 + 4 * MaxNodes / 2] = {};
+  if (Smart)
+    residualBounds(Idx, Form, CellRange, Bounds);
   forget(Idx);
   // The fresh bounds below all touch Idx's row/column only: a star of
   // edges centered on Idx's nodes. The generic both-endpoint dirty marking
@@ -613,37 +733,26 @@ void Octagon::assign(int Idx, const LinearForm &Form,
   // dedicated single-variable closure.
   uint32_t CarriedPivot = PivotDirty; // The forget-closure's carried work.
   uint32_t CarriedStar = StarDirty;
-  LinearForm SelfForm = Form.without(Self); // Self-references would need the
-  if (!(Form.coeff(Self) == Interval::point(0)))
-    SelfForm = LinearForm::invalid(); // old value; fall back to forgetting.
-
-  auto BoundAgainst = [&](const LinearForm &F, int P, int Q) {
-    if (!F.valid())
-      return;
-    double Hi = Before.formUpperBound(F, CellRange);
-    if (std::isfinite(Hi))
-      setBound(P, Q, Hi);
-    double NegLo = Before.formUpperBound(F.negate(), CellRange);
-    if (std::isfinite(NegLo))
-      setBound(Q, P, NegLo);
+  auto BoundAgainst = [&](const double *B, int P, int Q) {
+    if (std::isfinite(B[0]))
+      setBound(P, Q, B[0]);
+    if (std::isfinite(B[1]))
+      setBound(Q, P, B[1]);
   };
 
   int P = 2 * Idx, Pb = P + 1;
-  if (SelfForm.valid()) {
+  if (Smart) {
     // Unary: v <= sup(form), v >= inf(form). Encoded as doubled bounds.
-    double Hi = Before.formUpperBound(SelfForm, CellRange);
-    if (std::isfinite(Hi))
-      setBound(P, Pb, 2.0 * Hi);
-    double NegLo = Before.formUpperBound(SelfForm.negate(), CellRange);
-    if (std::isfinite(NegLo))
-      setBound(Pb, P, 2.0 * NegLo);
-    for (size_t W = 0; W < Vars.size(); ++W) {
+    if (std::isfinite(Bounds[0]))
+      setBound(P, Pb, 2.0 * Bounds[0]);
+    if (std::isfinite(Bounds[1]))
+      setBound(Pb, P, 2.0 * Bounds[1]);
+    for (size_t W = 0; W < size(); ++W) {
       if (static_cast<int>(W) == Idx)
         continue;
-      LinearForm MinusW = SelfForm.sub(LinearForm::var(Vars[W]));
-      BoundAgainst(MinusW, P, 2 * static_cast<int>(W));
-      LinearForm PlusW = SelfForm.add(LinearForm::var(Vars[W]));
-      BoundAgainst(PlusW, P, 2 * static_cast<int>(W) + 1);
+      const double *BW = Bounds + 2 + 4 * W;
+      BoundAgainst(BW, P, 2 * static_cast<int>(W));         // v - w
+      BoundAgainst(BW + 2, P, 2 * static_cast<int>(W) + 1); // v + w
     }
   }
   if (!Closed) {

@@ -44,7 +44,6 @@
 #include "domains/LinearForm.h"
 #include "support/MemoryTracker.h"
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -66,18 +65,15 @@ enum class OctClosureMode : uint8_t {
 
 /// Per-session closure work meter, shared by every octagon of one analysis
 /// (the DomainRegistry hands one sink to all the states it creates, so
-/// batch runs no longer read each other's counts through a process-wide
-/// atomic). The counters are atomic, so the sink stays safe to share
-/// beyond the session's own thread.
+/// batch runs never read each other's counts). One session runs on one
+/// thread, so the counters are plain integers, like memtrack::Counter.
 struct OctagonClosureStats {
-  std::atomic<uint64_t> Full{0};        ///< Full Floyd-Warshall sweeps.
-  std::atomic<uint64_t> Incremental{0}; ///< Dirty-row/column propagations.
+  uint64_t Full = 0;        ///< Full Floyd-Warshall sweeps.
+  uint64_t Incremental = 0; ///< Dirty-row/column propagations.
 
-  uint64_t full() const { return Full.load(std::memory_order_relaxed); }
-  uint64_t incremental() const {
-    return Incremental.load(std::memory_order_relaxed);
-  }
-  uint64_t total() const { return full() + incremental(); }
+  uint64_t full() const { return Full; }
+  uint64_t incremental() const { return Incremental; }
+  uint64_t total() const { return Full + Incremental; }
 };
 
 class Octagon {
@@ -201,6 +197,14 @@ private:
   /// records the strengthening fan's vertex cover as the next closure's
   /// carried star-dirty work.
   bool finishClosure();
+  /// The smart assignment's residual bounds for v_idx := \p Form (whose
+  /// v_idx coefficient is 0), read off the closed DBM. Out[0] and Out[1]
+  /// are sup(F) and sup(-F) of F = Form without v_idx; for every other pack
+  /// variable w, Out[2 + 4w ...] holds the same pair for F - w, then for
+  /// F + w. Each equals formUpperBound of the corresponding LinearForm.
+  void residualBounds(int Idx, const LinearForm &Form,
+                      const std::function<Interval(CellId)> &CellRange,
+                      double *Out) const;
   /// v := v + [a, b] (in-place shift, no closure lost).
   void shiftVar(int Idx, const Interval &Delta);
 

@@ -23,12 +23,20 @@
 ///     meet);
 ///   - equalSameKeys(A, B): physical-shortcut structural equality.
 ///
+/// Nodes (with their shared_ptr control blocks) come from the per-thread
+/// block pool of support/NodePool.h: a path copy takes its O(log n) nodes
+/// from the blocks that earlier copies released, so once a thread has
+/// warmed up its map updates no longer reach the heap. memtrack still
+/// meters sizeof(Node) per live node, whether its block is fresh or
+/// recycled.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ASTRAL_SUPPORT_PERSISTENTMAP_H
 #define ASTRAL_SUPPORT_PERSISTENTMAP_H
 
 #include "support/MemoryTracker.h"
+#include "support/NodePool.h"
 
 #include <cassert>
 #include <functional>
@@ -71,8 +79,9 @@ template <typename T, typename KeyT = uint32_t> class PersistentMap {
   static size_t countOf(const NodePtr &N) { return N ? N->Count : 0; }
 
   static NodePtr mkNode(KeyT K, T V, NodePtr L, NodePtr R) {
-    return std::make_shared<const Node>(K, std::move(V), std::move(L),
-                                        std::move(R));
+    return std::allocate_shared<const Node>(nodepool::Allocator<Node>(), K,
+                                            std::move(V), std::move(L),
+                                            std::move(R));
   }
 
   /// Rebalances a node whose children differ in height by at most 2 (the

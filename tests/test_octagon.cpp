@@ -514,6 +514,11 @@ struct OctagonKernelAccess {
   static State state(const Octagon &O) {
     return {O.M, O.PivotDirty, O.StarDirty, O.Closed, O.Empty};
   }
+  static void residualBounds(const Octagon &O, int Idx, const LinearForm &F,
+                             const std::function<Interval(CellId)> &Range,
+                             double *Out) {
+    O.residualBounds(Idx, F, Range, Out);
+  }
   static void load(Octagon &O, const State &S) {
     O.M = S.M;
     O.PivotDirty = S.PivotDirty;
@@ -882,3 +887,135 @@ TEST_P(OctagonKernelDifferential, OpSequencesMatchDenseReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OctagonKernelDifferential,
                          ::testing::Values(3, 2718, 65537));
+
+// -- Smart assignment's residual bounds against formUpperBound ---------------
+
+class OctagonResidualBounds : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(OctagonResidualBounds, MatchFormUpperBoundBitForBit) {
+  // Octagon::assign's smart fallback bounds SelfForm and SelfForm -/+ w
+  // (each plain and negated) without building them. Every bound must carry
+  // the bits formUpperBound returns on the LinearForm it stands for. The
+  // forms mix unit and interval coefficients on pack variables (pairing),
+  // include the assigned-against variable w itself (merged coefficients,
+  // unit ones cancelling to exactly 0), carry +0 and -0 constants, run
+  // past 16 terms with pack-external cells (the heap buffers), and see
+  // bottom ranges (an external bottom, or a pack variable whose octagon
+  // bound and external range are disjoint).
+  std::mt19937_64 Rng(GetParam());
+  auto Top = [](CellId) { return Interval::top(); };
+  const Interval Coefs[] = {Interval::point(1.0),  Interval::point(-1.0),
+                            Interval::point(2.5),  Interval(-0.5, 1.5),
+                            Interval(0.3, 0.7),    Interval::point(-1.0 / 3)};
+  size_t Checked = 0, WInForm = 0, Cancelled = 0, HeapForms = 0;
+  size_t NegZero = 0, PosZero = 0, Bottoms = 0;
+  for (int Pack = 1; Pack <= 16; ++Pack) {
+    std::vector<CellId> Cells;
+    for (int I = 0; I < Pack; ++I)
+      Cells.push_back(static_cast<CellId>(3 * I + 1));
+    for (int Trial = 0; Trial < 24; ++Trial) {
+      // Constraints that all hold at one random point, with slack, so the
+      // octagon is never empty.
+      std::vector<double> Point;
+      for (int I = 0; I < Pack; ++I)
+        Point.push_back(nonDyadic(Rng));
+      auto Slack = [&] { return std::fabs(nonDyadic(Rng)) + 0.25; };
+      Octagon O(Cells);
+      for (int K = 0; K < 2 * Pack; ++K) {
+        int V = static_cast<int>(Rng() % Pack);
+        int W = static_cast<int>(Rng() % Pack);
+        if (Rng() % 2) {
+          O.meetVarInterval(V, Interval(Point[V] - Slack(), Point[V] + Slack()));
+        } else {
+          double SW = Rng() % 2 ? 1.0 : -1.0;
+          LinearForm VW = LinearForm::var(Cells[V]).add(
+              LinearForm::var(Cells[W]).scale(Interval::point(SW)));
+          double At = Point[V] + SW * Point[W] + Slack();
+          O.guardLe(VW.add(LinearForm::constant(Interval::point(-At))), Top);
+        }
+      }
+      ASSERT_TRUE(O.close());
+      // External ranges: in-pack cells 3i+1, pack-external cells 3i+2.
+      std::map<CellId, Interval> Ranges;
+      auto RandomRange = [&](CellId C, bool InPack) {
+        uint64_t Roll = Rng() % 100;
+        if (Roll < 6) {
+          Ranges[C] = Interval::bottom();
+          ++Bottoms;
+        } else if (InPack && Roll < 14) {
+          Ranges[C] = Interval(1e6, 2e6); // Disjoint from bounded vars.
+        } else if (Roll < 40) {
+          double Lo = nonDyadic(Rng);
+          Ranges[C] = Interval(Lo, Lo + std::fabs(nonDyadic(Rng)));
+        }
+      };
+      for (CellId C : Cells)
+        RandomRange(C, true);
+      for (CellId C = 2; C < 3 * 24; C += 3)
+        RandomRange(C, false);
+      std::function<Interval(CellId)> Range = mapRange(Ranges);
+
+      int Idx = static_cast<int>(Rng() % Pack);
+      LinearForm T = LinearForm::constant(Interval::point(0));
+      for (int U = 0; U < Pack; ++U)
+        if (U != Idx && Rng() % 2)
+          T = T.add(LinearForm::var(Cells[U]).scale(Coefs[Rng() % 6]));
+      size_t External = Trial % 6 == 0 ? 20 : Rng() % 4;
+      for (size_t E = 0; E < External; ++E)
+        T = T.add(LinearForm::var(static_cast<CellId>(3 * (Rng() % 24) + 2))
+                      .scale(Coefs[Rng() % 6]));
+      if (Rng() % 2)
+        T = T.negate(); // -0 constant.
+      const Interval Consts[] = {Interval(-0.0, -0.0), Interval::point(0),
+                                 Interval(-0.0, 0.0),
+                                 Interval::point(nonDyadic(Rng)),
+                                 Interval(-INFINITY, 1.0 / 3)};
+      LinearForm Form =
+          LinearForm::constant(Consts[Rng() % 5]).add(T);
+      const Interval &K = Form.constTerm();
+      NegZero += K.Lo == 0.0 && std::signbit(K.Lo);
+      PosZero += K.Hi == 0.0 && !std::signbit(K.Hi);
+      HeapForms += Form.terms().size() > 16;
+
+      double Got[2 + 4 * 16];
+      OctagonKernelAccess::residualBounds(O, Idx, Form, Range, Got);
+      LinearForm Self = Form.without(Cells[Idx]);
+      auto ExpectBits = [&](const LinearForm &F, double Bound,
+                            const char *What, int W) {
+        double Want = O.formUpperBound(F, Range);
+        EXPECT_EQ(std::bit_cast<uint64_t>(Bound), std::bit_cast<uint64_t>(Want))
+            << What << " pack=" << Pack << " trial=" << Trial
+            << " idx=" << Idx << " w=" << W << ": " << Bound << " vs "
+            << Want;
+        ++Checked;
+      };
+      ExpectBits(Self, Got[0], "sup(F)", -1);
+      ExpectBits(Self.negate(), Got[1], "sup(-F)", -1);
+      for (int W = 0; W < Pack; ++W) {
+        if (W == Idx)
+          continue;
+        Interval CW = Form.coeff(Cells[W]);
+        WInForm += !(CW == Interval::point(0));
+        Cancelled += CW == Interval::point(1.0) || CW == Interval::point(-1.0);
+        LinearForm Minus = Self.sub(LinearForm::var(Cells[W]));
+        LinearForm Plus = Self.add(LinearForm::var(Cells[W]));
+        const double *B = Got + 2 + 4 * W;
+        ExpectBits(Minus, B[0], "sup(F - w)", W);
+        ExpectBits(Minus.negate(), B[1], "sup(-(F - w))", W);
+        ExpectBits(Plus, B[2], "sup(F + w)", W);
+        ExpectBits(Plus.negate(), B[3], "sup(-(F + w))", W);
+      }
+    }
+  }
+  // Every case the comment above names was exercised.
+  EXPECT_GT(Checked, 1000u);
+  EXPECT_GT(WInForm, 0u);
+  EXPECT_GT(Cancelled, 0u);
+  EXPECT_GT(HeapForms, 0u);
+  EXPECT_GT(NegZero, 0u);
+  EXPECT_GT(PosZero, 0u);
+  EXPECT_GT(Bottoms, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OctagonResidualBounds,
+                         ::testing::Values(5, 1234, 99991));

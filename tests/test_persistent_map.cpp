@@ -14,6 +14,7 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <thread>
 
 using namespace astral;
 
@@ -188,6 +189,51 @@ TEST(PersistentMap, MemoryTrackerSeesNodes) {
     EXPECT_GT(Mem.liveBytes(), Before);
   }
   EXPECT_EQ(Mem.liveBytes(), Before);
+}
+
+namespace {
+/// A 500-key map built by path-copying inserts, which free as many nodes
+/// as they allocate.
+PersistentMap<int> buildScrambled() {
+  PersistentMap<int> M;
+  for (uint32_t I = 0; I < 500; ++I)
+    M = M.set(I * 7 % 500, static_cast<int>(I));
+  return M;
+}
+} // namespace
+
+TEST(PersistentMapPool, RebuildTakesNoFreshBlocks) {
+  // The node pool's liveness gate: the first build and drop leave every
+  // block on this thread's free list, so the same work again is served
+  // entirely from it.
+  EXPECT_EQ(buildScrambled().size(), 500u);
+  uint64_t Fresh = nodepool::threadStats().FreshBlocks;
+  uint64_t Cached = nodepool::threadStats().CachedBlocks;
+  EXPECT_GE(Cached, 500u);
+  EXPECT_EQ(buildScrambled().size(), 500u);
+  EXPECT_EQ(nodepool::threadStats().FreshBlocks, Fresh);
+  EXPECT_EQ(nodepool::threadStats().CachedBlocks, Cached);
+}
+
+TEST(PersistentMapPool, CrossThreadDropsAreReleasedAtThreadExit) {
+  // Built on a worker, dropped here: the blocks join this thread's list.
+  PersistentMap<int> FromWorker;
+  std::thread([&FromWorker] { FromWorker = buildScrambled(); }).join();
+  uint64_t Cached = nodepool::threadStats().CachedBlocks;
+  FromWorker = PersistentMap<int>();
+  EXPECT_GE(nodepool::threadStats().CachedBlocks, Cached + 500);
+
+  // Built here, dropped on a worker: the worker's list takes the blocks and
+  // hands them back to the heap when the worker exits (the sanitizer
+  // builds check that nothing leaks or races on the way).
+  PersistentMap<int> FromMain = buildScrambled();
+  uint64_t Released = nodepool::releasedAtThreadExit();
+  std::thread([M = std::move(FromMain)]() mutable {
+    uint64_t Before = nodepool::threadStats().CachedBlocks;
+    M = PersistentMap<int>();
+    EXPECT_GE(nodepool::threadStats().CachedBlocks, Before + 500);
+  }).join();
+  EXPECT_GE(nodepool::releasedAtThreadExit(), Released + 500);
 }
 
 // Property test: behaves exactly like std::map under random workloads.
